@@ -241,14 +241,6 @@ def suite_lemma4(seed: int, instances: int = 50) -> dict:
             "passed": all(c["ok"] for c in checks)}
 
 
-def _walk_bridges(node):
-    if node.bridge is not None:
-        yield node.bridge
-        return
-    for _, child in node.children:
-        yield from _walk_bridges(child)
-
-
 def suite_bridge(tree, measure, paths: int, seed: int,
                  workers: int = 1, pairs: int = 10) -> dict:
     """Bridge factorization exactness and MC increment second moments."""
@@ -258,7 +250,7 @@ def suite_bridge(tree, measure, paths: int, seed: int,
     base = min(2, tree.depth)
     adv = AdversarialSampler(tree, measure, base)
     fact_err = 0.0
-    for bridge in _walk_bridges(adv._root):
+    for bridge in adv.bridges:
         if bridge.dim:
             rebuilt = bridge.chol @ bridge.chol.T
             fact_err = max(fact_err, float(np.abs(rebuilt - bridge.covariance()).max()))
@@ -380,8 +372,7 @@ def cmd_build(args) -> int:
         "partition": {
             "depth": tree.depth,
             "separation_depth": tree.separation_depth,
-            "cells_per_level": [len(tree.level_cells(k))
-                                for k in range(tree.depth + 1)],
+            "cells_per_level": [len(starts) for starts in tree.levels],
         },
         "tail_mass": None if tail is None or math.isinf(tail) else tail,
         "warnings": notes,

@@ -161,8 +161,7 @@ def dyadic_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     w = measure.weights
     total = 0.0
     for k in range(1, sep + 1):
-        masses = tree.cell_masses(tree.level_cells(k), w)
-        total += 2.0 ** -k * float(np.sqrt(masses).sum())
+        total += 2.0 ** -k * float(np.sqrt(_level_masses(tree, w, k)[2]).sum())
     total += 2.0 ** -sep * float(np.sqrt(w).sum())
     return total
 
@@ -178,12 +177,8 @@ def _dyadic_rows(measure: DiscreteMeasure, tree: PartitionTree) -> np.ndarray:
     rows = np.zeros_like(w)
     with np.errstate(divide="ignore"):
         for k in range(1, sep + 1):
-            cells = tree.level_cells(k)
-            # summed per cell, not as prefix-sum differences, so a light cell
-            # after heavy ones keeps its mass instead of cancelling to zero
-            masses = np.add.reduceat(w, [c.start for c in cells])
-            counts = [c.count for c in cells]
-            rows += 2.0 ** -k * np.repeat(masses, counts) ** -0.5
+            starts, _, masses, _, _ = _level_masses(tree, w, k)
+            rows += 2.0 ** -k * np.repeat(masses, np.diff(np.r_[starts, w.size])) ** -0.5
         rows += 2.0 ** -sep * w ** -0.5
     return rows
 
@@ -248,14 +243,15 @@ class GoodLevel:
 class GoodIndexTable:
     levels: tuple[GoodLevel, ...]
 
-    def level(self, k: int) -> GoodLevel:
-        for lv in self.levels:
-            if lv.level == k:
-                return lv
-        raise KeyError(k)
-
     def filtered_series(self) -> float:
         return sum(2.0 ** -lv.level * lv.filtered_sum for lv in self.levels)
+
+
+def _balance(children: np.ndarray) -> np.ndarray:
+    """``good_children`` for every row of a (parents, 4) child-mass matrix."""
+    parent = children.sum(axis=1, keepdims=True)
+    pair = children + children[:, [2, 3, 0, 1]]
+    return (parent > 0.0) & (32.0 * children >= parent) & (2.0 * children <= pair)
 
 
 def good_children(masses: Sequence[float]) -> tuple[bool, bool, bool, bool]:
@@ -263,17 +259,27 @@ def good_children(masses: Sequence[float]) -> tuple[bool, bool, bool, bool]:
 
     Child j is good when its mass is at least 1/32 of the parent mass
     and at most half of its same-parity pair mass (pairs {0,2} and
-    {1,3}); both inequalities non-strict.  A zero-mass parent classifies
-    no children (its subtree carries nothing).
+    {1,3}); both inequalities non-strict, and compared after scaling by
+    powers of two, which is exact, so equal masses tie exactly.  A
+    zero-mass parent classifies no children (its subtree carries nothing).
     """
-    m = [float(v) for v in masses]
-    if len(m) != 4:
+    m = np.asarray(masses, dtype=float)
+    if m.shape != (4,):
         raise ValueError("exactly four child masses expected")
-    parent = sum(m)
-    if parent <= 0.0:
-        return (False, False, False, False)
-    pair = {0: m[0] + m[2], 1: m[1] + m[3]}
-    return tuple(parent / 32.0 <= m[j] <= 0.5 * pair[j % 2] for j in range(4))
+    return tuple(bool(f) for f in _balance(m[None, :])[0])
+
+
+def _level_masses(tree: PartitionTree, weights: np.ndarray, k: int) -> tuple:
+    """Level-k starts, keys, masses, parents' child-mass matrix, good-child flags."""
+    starts, keys = tree.cell_arrays(k)
+    # per-cell sums keep a light cell's precision; prefix differences lose it
+    masses = np.add.reduceat(weights, starts)
+    parent = np.searchsorted(tree.cell_arrays(k - 1)[0], starts, side="right") - 1
+    slot = (keys % 4).astype(np.intp)
+    children = np.zeros((parent[-1] + 1, 4))
+    children[parent, slot] = masses
+    # a good child holds at least 1/32 of a positive mass, so it is a cell
+    return starts, keys, masses, children, _balance(children)[parent, slot]
 
 
 def classify_good_indices(
@@ -288,29 +294,23 @@ def classify_good_indices(
     """
     if max_level is None:
         max_level = tree.separation_depth + 1
-    w = measure.weights
     out = []
     for k in range(1, max_level + 1):
-        full = float(np.sqrt(tree.cell_masses(tree.level_cells(k), w)).sum())
-        good: list[int] = []
-        filtered = 0.0
-        for parent in tree.level_cells(k - 1):
-            children = tree.children_of(parent, k)
-            masses = tree.cell_masses(children, w)
-            flags = good_children(masses)
-            for j in range(4):
-                if flags[j]:
-                    good.append(children[j].index)
-                    filtered += math.sqrt(float(masses[j]))
-        out.append(GoodLevel(level=k, good=tuple(sorted(good)),
-                             full_sum=full, filtered_sum=filtered))
+        _, keys, masses, _, good = _level_masses(tree, measure.weights, k)
+        roots = np.sqrt(masses)
+        out.append(GoodLevel(level=k, good=tuple(int(i) for i in keys[good]),
+                             full_sum=float(roots.sum()),
+                             filtered_sum=float(roots[good].sum())))
     return GoodIndexTable(levels=tuple(out))
+
+
+def _filtered_value(table: GoodIndexTable) -> float:
+    return (FILTER_WEIGHT + table.filtered_series()) / (1.0 - FILTER_WEIGHT / 2.0)
 
 
 def filtered_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     """(1 - L/2)^-1 * (L + sum_k 2^-k sum_{good i} sqrt(m(cell_i)))."""
-    table = classify_good_indices(measure, tree)
-    return (FILTER_WEIGHT + table.filtered_series()) / (1.0 - FILTER_WEIGHT / 2.0)
+    return _filtered_value(classify_good_indices(measure, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,6 @@ def evaluate_functionals(
     strong, argmax = strong_functional(measure)
     weak = weak_functional(measure)
     table = classify_good_indices(measure, tree)
-    filtered = (FILTER_WEIGHT + table.filtered_series()) / (1.0 - FILTER_WEIGHT / 2.0)
     per_level = tuple(
         (lv.level, lv.full_sum, lv.filtered_sum, len(lv.good)) for lv in table.levels
     )
@@ -370,7 +369,7 @@ def evaluate_functionals(
         strong_argmax=argmax,
         weak_value=weak,
         dyadic_value=dyadic_bound(measure, tree),
-        filtered_value=filtered,
+        filtered_value=_filtered_value(table),
         rm_value=None if coeffs is None else rademacher_menchov(coeffs).value,
         filter_weight=FILTER_WEIGHT,
         chaining_constant=CHAINING_CONSTANT,

@@ -29,8 +29,8 @@ import numpy as np
 from .functionals import (
     CHAINING_CONSTANT,
     LOWER_BOUND_FACTOR,
+    _level_masses,
     classify_good_indices,
-    good_children,
     strong_functional,
 )
 from .series import (
@@ -404,34 +404,37 @@ class AdversarialSampler(ProcessSampler):
         self.index_set = tree.index_set
         self.points = tree.index_set.points
         self.default_seed = seed
-        dims: list[int] = []
-        root_cell = tree.level_cells(0)[0]
-        self._root = self._build(root_cell, 0, dims)
+        levels = [_level_masses(tree, measure.weights, k)
+                  for k in range(1, self.base_depth + 1)]
+        bridges: list[BridgeLeaf] = []
+        self._root = self._build(0, 0, 0, self.points.size, 0, levels, bridges)
+        self.bridges = tuple(bridges)
         self.n_uniform_slots = 5 * self.base_depth
-        self.n_normal_slots = max(dims) if dims else 0
+        self.n_normal_slots = max((b.dim for b in self.bridges), default=0)
 
     def second_moment(self, s: float, t: float) -> float:
         d = abs(s - t)
         return d * (1.0 - d)
 
-    def _build(self, cell, level: int, dims: list[int]) -> _Node:
+    def _build(self, level: int, row: int, start: int, stop: int, key: int,
+               levels, bridges: list[BridgeLeaf]) -> _Node:
+        """Node of cell ``row`` at ``level``; ``levels[level]`` holds its children."""
         if level == self.base_depth:
-            bridge = _build_bridge(level, cell.index, self.points,
-                                   cell.start, cell.stop)
-            dims.append(bridge.dim)
+            bridge = _build_bridge(level, key, self.points, start, stop)
+            bridges.append(bridge)
             return _Node(level, None, (), (), bridge)
-        cells = self.tree.children_of(cell, level + 1)
-        masses = self.tree.cell_masses(cells, self.measure.weights)
-        flags = good_children(masses)
+        starts, keys, masses, child_masses, good = levels[level]
+        lo, hi = np.searchsorted(starts, [start, stop])
+        # (slot, row, start, stop) of each nonempty child cell
+        kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
+                for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
         skeleton = build_skeleton_variables(
-            masses, {j for j in range(4) if flags[j]})
-        segments = tuple(
-            (j, c.start, c.stop, _left_endpoint(c.index, level + 1))
-            for j, c in enumerate(cells) if c.count
-        )
+            child_masses[row], {j for j, c, _, _ in kids if good[c]})
+        segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
+                         for j, c, a, b in kids)
         children = tuple(
-            (j, self._build(cells[j], level + 1, dims))
-            for j in range(4) if masses[j] > 0.0
+            (j, self._build(level + 1, c, a, b, int(keys[c]), levels, bridges))
+            for j, c, a, b in kids if masses[c] > 0.0
         )
         return _Node(level, skeleton, segments, children, None)
 
@@ -750,7 +753,7 @@ def lower_bound_report(
         build_adversarial_process(tree, measure, base_depth, seed=seed))
     depth = sampler.inner.base_depth
     table = classify_good_indices(measure, tree, max_level=depth)
-    filtered = sum(2.0 ** -lvl.level * lvl.filtered_sum for lvl in table.levels)
+    filtered = table.filtered_series()
     vals = sampler.sample(paths, seed, workers)
     stat = (vals ** 2).max(axis=1)
     est = MCEstimate.from_samples(stat, seed)

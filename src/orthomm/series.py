@@ -254,9 +254,24 @@ def _cell_index(t: float, level: int) -> int:
     return m << shift if shift >= 0 else m >> -shift
 
 
+def _level_arrays(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(start offsets, keys) of the nonempty level-k cells, in point order.
+
+    The keys floor(t * 4^k) are exact: scaling by a power of two is exact,
+    so while 4^k stays a finite double (level 511) they are integer-valued
+    doubles; deeper levels fall back to Python integers.
+    """
+    if 2 * k <= 1022:
+        keys = np.floor(np.ldexp(points, 2 * k))
+    else:
+        keys = np.array([_cell_index(float(t), k) for t in points], dtype=object)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return starts, keys[starts]
+
+
 @dataclass(frozen=True)
 class PartitionCell:
-    """A nonempty level cell: quad-adic index and point-slice bounds."""
+    """A level cell: quad-adic index and point-slice bounds."""
 
     index: int
     start: int
@@ -269,9 +284,11 @@ class PartitionCell:
 
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """Nested quad-adic cells over an index set.
+    """Nested quad-adic cells over an index set, stored as per-level arrays.
 
-    ``levels[k]`` lists the nonempty cells at level k for 0 <= k <= depth.
+    For 0 <= k <= depth, ``levels[k]`` holds the start offsets into the
+    point array of the nonempty level-k cells (each runs up to the next
+    start) and ``keys[k]`` their quad-adic indices floor(t * 4^k).
     ``separation_depth`` is the smallest level at which every nonempty
     cell is a singleton; it is a property of the point set alone and is
     recorded even when ``depth`` differs.
@@ -280,97 +297,68 @@ class PartitionTree:
     index_set: IndexSet
     depth: int
     separation_depth: int
-    levels: tuple[tuple[PartitionCell, ...], ...]
+    levels: tuple[np.ndarray, ...]
+    keys: tuple[np.ndarray, ...]
 
     @property
     def points(self) -> np.ndarray:
         return self.index_set.points
 
-    def level_cells(self, k: int) -> tuple[PartitionCell, ...]:
-        """Nonempty cells at any level, stored or computed on demand."""
+    def cell_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(start offsets, keys) at any level, stored or computed on demand."""
         if k < 0:
             raise ValueError("level must be nonnegative")
         if k <= self.depth:
-            return self.levels[k]
-        return _level_cells(self.index_set.points, k)
+            return self.levels[k], self.keys[k]
+        return _level_arrays(self.index_set.points, k)
+
+    def level_cells(self, k: int) -> tuple[PartitionCell, ...]:
+        """Nonempty cells at any level, as a view of the level arrays."""
+        starts, keys = self.cell_arrays(k)
+        stops = np.r_[starts[1:], len(self.index_set)]
+        return tuple(PartitionCell(index=int(i), start=int(a), stop=int(b))
+                     for i, a, b in zip(keys, starts, stops))
 
     def cell_masses(self, cells: Sequence[PartitionCell], weights: np.ndarray) -> np.ndarray:
-        cums = np.concatenate([[0.0], np.cumsum(weights)])
-        return np.array([cums[c.stop] - cums[c.start] for c in cells])
+        """Mass of each cell, summed within the cell; empty cells give 0.0."""
+        bounds = np.array([(c.start, c.stop) for c in cells], dtype=np.int64).ravel()
+        # the padding zero keeps every index below the array length, and
+        # reduceat returns a lone weight for an empty cell, hence the mask
+        sums = np.add.reduceat(np.append(weights, 0.0), bounds)[::2]
+        return np.where([c.count > 0 for c in cells], sums, 0.0)
 
     def children_of(self, cell: PartitionCell, child_level: int) -> list[PartitionCell]:
         """The four child cells of ``cell`` (empty ones with start == stop)."""
-        pts = self.index_set.points
-        base = 4 * cell.index
-        idx = [_cell_index(float(t), child_level) for t in pts[cell.start:cell.stop]]
-        out = []
-        lo = cell.start
-        for j in range(4):
-            hi = lo
-            while hi < cell.stop and idx[hi - cell.start] == base + j:
-                hi += 1
-            out.append(PartitionCell(index=base + j, start=lo, stop=hi))
-            lo = hi
-        if lo != cell.stop:
+        starts, keys = _level_arrays(self.points[cell.start:cell.stop], child_level)
+        if np.any(keys // 4 != cell.index):
             raise AssertionError("internal consistency error: child split mismatch")
-        return out
-
-
-def _level_cells(points: np.ndarray, k: int) -> tuple[PartitionCell, ...]:
-    idx = [_cell_index(float(t), k) for t in points]
-    cells = []
-    start = 0
-    for pos in range(1, len(idx) + 1):
-        if pos == len(idx) or idx[pos] != idx[start]:
-            cells.append(PartitionCell(index=idx[start], start=start, stop=pos))
-            start = pos
-    return tuple(cells)
-
-
-def _separation_depth(points: np.ndarray) -> int:
-    n = len(points)
-    if n <= 1:
-        return 0
-
-    def separated(k: int) -> bool:
-        seen = set()
-        for t in points:
-            i = _cell_index(float(t), k)
-            if i in seen:
-                return False
-            seen.add(i)
-        return True
-
-    hi = 1
-    while not separated(hi):
-        hi *= 2
-        if hi > _MAX_LEVEL:
-            raise InvalidCoefficientError(
-                "internal consistency error: points never separate")
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if separated(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi if not separated(lo) else lo
+        counts = np.zeros(4, dtype=np.int64)
+        counts[(keys % 4).astype(np.intp)] = np.diff(np.r_[starts, cell.count])
+        edges = cell.start + np.r_[0, np.cumsum(counts)]
+        return [PartitionCell(index=4 * cell.index + j, start=int(edges[j]),
+                              stop=int(edges[j + 1])) for j in range(4)]
 
 
 def build_partition(index_set: IndexSet, max_depth: int | str = "auto") -> PartitionTree:
     """Build the cell tree; ``max_depth="auto"`` stores levels up to separation."""
-    sep = _separation_depth(index_set.points)
-    if max_depth == "auto":
-        depth = sep
-    else:
+    if max_depth != "auto":
         depth = int(max_depth)
         if depth < 0:
             raise ValueError("max_depth must be nonnegative")
         if depth > _MAX_LEVEL:
             raise ValueError(f"max_depth above supported ceiling {_MAX_LEVEL}")
-    levels = tuple(_level_cells(index_set.points, k) for k in range(depth + 1))
-    return PartitionTree(index_set=index_set, depth=depth,
-                         separation_depth=sep, levels=levels)
+    pts = index_set.points
+    # distinct doubles in [0, 1) separate by level 537 (subnormal spacing)
+    levels = [_level_arrays(pts, 0)]
+    while levels[-1][0].size < pts.size:
+        levels.append(_level_arrays(pts, len(levels)))
+    sep = len(levels) - 1
+    if max_depth == "auto":
+        depth = sep
+    levels += [_level_arrays(pts, k) for k in range(sep + 1, depth + 1)]
+    starts, keys = zip(*levels[:depth + 1])
+    return PartitionTree(index_set=index_set, depth=depth, separation_depth=sep,
+                         levels=starts, keys=keys)
 
 
 # ---------------------------------------------------------------------------

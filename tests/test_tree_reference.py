@@ -1,0 +1,191 @@
+"""The array partition tree and its good-index filter against per-point references.
+
+The references below build every level cell by cell from the exact
+integer cell index of each point, and classify good children one parent
+at a time with the scalar balance rule.  The library computes the same
+objects from per-level arrays.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orthomm as om
+from orthomm.series import _MAX_LEVEL, _cell_index
+
+
+def ref_level_cells(points: np.ndarray, k: int) -> list[tuple[int, int, int]]:
+    """(index, start, stop) of the nonempty level-k cells, point by point."""
+    idx = [_cell_index(float(t), k) for t in points]
+    cells = []
+    start = 0
+    for pos in range(1, len(idx) + 1):
+        if pos == len(idx) or idx[pos] != idx[start]:
+            cells.append((idx[start], start, pos))
+            start = pos
+    return cells
+
+
+def ref_separation_depth(points: np.ndarray) -> int:
+    """Smallest level whose cells all hold one point, by linear search."""
+    k = 0
+    while len(ref_level_cells(points, k)) < len(points):
+        k += 1
+        assert k <= _MAX_LEVEL
+    return k
+
+
+def ref_children(points: np.ndarray, cell: tuple[int, int, int],
+                 child_level: int) -> list[tuple[int, int, int]]:
+    """The four children of one cell, empty ones with start == stop."""
+    index, start, stop = cell
+    idx = [_cell_index(float(t), child_level) for t in points[start:stop]]
+    out = []
+    lo = start
+    for j in range(4):
+        hi = lo
+        while hi < stop and idx[hi - start] == 4 * index + j:
+            hi += 1
+        out.append((4 * index + j, lo, hi))
+        lo = hi
+    assert lo == stop
+    return out
+
+
+def ref_good_sets(measure: om.DiscreteMeasure, tree: om.PartitionTree,
+                  max_level: int) -> list[tuple[int, ...]]:
+    """Good child indices per level 1..max_level, one parent at a time."""
+    points = tree.points
+    out = []
+    for k in range(1, max_level + 1):
+        good = []
+        for parent in ref_level_cells(points, k - 1):
+            children = ref_children(points, parent, k)
+            cells = [om.PartitionCell(*c) for c in children]
+            flags = om.good_children(tree.cell_masses(cells, measure.weights))
+            good += [c[0] for c, f in zip(children, flags) if f]
+        out.append(tuple(sorted(good)))
+    return out
+
+
+def exact_uniform_good_counts(tree: om.PartitionTree, max_level: int) -> list[int]:
+    """Good counts under the uniform measure from integer point counts.
+
+    Child j is good iff 32 c_j >= c_parent and 2 c_j <= c_pair.
+    """
+    points = tree.points
+    out = []
+    for k in range(1, max_level + 1):
+        n = 0
+        for parent in ref_level_cells(points, k - 1):
+            c = [hi - lo for _, lo, hi in ref_children(points, parent, k)]
+            n += sum(32 * c[j] >= sum(c) and 2 * c[j] <= c[j % 2] + c[j % 2 + 2]
+                     for j in range(4))
+        out.append(n)
+    return out
+
+
+def assert_matches_reference(index: om.IndexSet) -> om.PartitionTree:
+    tree = om.build_partition(index)
+    points = index.points
+    assert tree.separation_depth == ref_separation_depth(points)
+    for k in range(tree.depth + 2):
+        cells = ref_level_cells(points, k)
+        starts, keys = tree.cell_arrays(k)
+        assert starts.tolist() == [c[1] for c in cells]
+        assert [int(i) for i in keys] == [c[0] for c in cells]
+        assert tree.level_cells(k) == tuple(om.PartitionCell(*c) for c in cells)
+        if k <= tree.depth:
+            assert len(tree.levels[k]) == len(cells)
+            for cell in cells:
+                kids = tree.children_of(om.PartitionCell(*cell), k + 1)
+                assert kids == [om.PartitionCell(*c)
+                                for c in ref_children(points, cell, k + 1)]
+    return tree
+
+
+@st.composite
+def index_sets(draw) -> om.IndexSet:
+    """Point sets in [0, 1) starting at 0, with clusters that separate late."""
+    anchors = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=6))
+    gaps = draw(st.lists(st.floats(2.0 ** -60, 2.0 ** -4), max_size=6))
+    tiny = draw(st.lists(st.floats(0.0, 2.0 ** -1000, allow_subnormal=True),
+                         max_size=3))
+    pts = [0.0] + anchors + tiny
+    pts += [a + g for a in anchors for g in gaps if a + g < 1.0]
+    pts = np.unique(np.asarray(pts, dtype=float))
+    return om.IndexSet(points=pts, scale=1.0, raw_total=float(pts[-1]))
+
+
+@given(index_sets())
+@settings(max_examples=25, deadline=None)
+def test_tree_arrays_match_per_point_reference(index):
+    assert_matches_reference(index)
+
+
+def test_subnormal_spacing_uses_integer_levels():
+    index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
+    tree = assert_matches_reference(index)
+    assert tree.separation_depth == 537
+    assert tree.keys[537].dtype == object
+
+
+@given(index_sets(), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.2, 1.0]))
+@settings(max_examples=25, deadline=None)
+def test_good_sets_match_per_parent_reference(index, seed, alpha):
+    tree = om.build_partition(index)
+    w = np.random.default_rng(seed).dirichlet(np.full(len(index), alpha))
+    m = om.DiscreteMeasure.explicit(index, w)
+    max_level = tree.separation_depth + 1
+    table = om.classify_good_indices(m, tree, max_level=max_level)
+    assert [lv.good for lv in table.levels] == ref_good_sets(m, tree, max_level)
+
+
+@pytest.mark.parametrize("seq", [om.CoefficientSequence.geometric(0.9, 256),
+                                 om.CoefficientSequence.power(1.0, 2048)])
+def test_uniform_good_counts_match_integer_counts(seq):
+    # equal cells must tie exactly: the rounded masses used to break
+    # 2 m_j <= m_pair at true ties (level 4 of geometric(0.9, 256),
+    # levels 8 and 9 of power(1.0, 2048))
+    index = om.build_index_set(seq)
+    tree = om.build_partition(index)
+    max_level = tree.separation_depth + 1
+    table = om.classify_good_indices(om.DiscreteMeasure.uniform(index), tree,
+                                     max_level=max_level)
+    assert [len(lv.good) for lv in table.levels] == \
+        exact_uniform_good_counts(tree, max_level)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sampler_nodes_match_per_parent_reference(seed):
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
+    tree = om.build_partition(index)
+    w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.5))
+    w[::7] = 0.0  # zero-mass cells are never descended into
+    m = om.DiscreteMeasure.explicit(index, w)
+    adv = om.AdversarialSampler(tree, m, 4)
+    points = tree.points
+    bridges = []
+
+    def walk(node, cell, level):
+        if node.bridge is not None:
+            assert (node.bridge.cell_index, level) == (cell[0], 4)
+            bridges.append(node.bridge)
+            return
+        children = ref_children(points, cell, level + 1)
+        masses = tree.cell_masses([om.PartitionCell(*c) for c in children], m.weights)
+        flags = om.good_children(masses)
+        expected = om.build_skeleton_variables(masses, {j for j in range(4) if flags[j]})
+        assert node.skeleton.to_json() == expected.to_json()
+        assert [s[:3] for s in node.segments] == \
+            [(j, lo, hi) for j, (_, lo, hi) in enumerate(children) if hi > lo]
+        live = [(j, c) for j, c in enumerate(children) if masses[j] > 0.0]
+        assert [j for j, _ in node.children] == [j for j, _ in live]
+        for (_, child), (_, c) in zip(node.children, live):
+            walk(child, c, level + 1)
+
+    walk(adv._root, (0, 0, len(points)), 0)
+    assert adv.bridges == tuple(bridges)
+    assert adv.n_normal_slots == max(b.dim for b in bridges)
