@@ -161,7 +161,8 @@ def dyadic_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     w = measure.weights
     total = 0.0
     for k in range(1, sep + 1):
-        total += 2.0 ** -k * float(np.sqrt(_level_masses(tree, w, k)[2]).sum())
+        masses = np.add.reduceat(w, tree.cell_arrays(k)[0])
+        total += 2.0 ** -k * float(np.sqrt(masses).sum())
     total += 2.0 ** -sep * float(np.sqrt(w).sum())
     return total
 
@@ -177,7 +178,8 @@ def _dyadic_rows(measure: DiscreteMeasure, tree: PartitionTree) -> np.ndarray:
     rows = np.zeros_like(w)
     with np.errstate(divide="ignore"):
         for k in range(1, sep + 1):
-            starts, _, masses, _, _ = _level_masses(tree, w, k)
+            starts = tree.cell_arrays(k)[0]
+            masses = np.add.reduceat(w, starts)
             rows += 2.0 ** -k * np.repeat(masses, np.diff(np.r_[starts, w.size])) ** -0.5
         rows += 2.0 ** -sep * w ** -0.5
     return rows

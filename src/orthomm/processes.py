@@ -11,9 +11,10 @@ fills in below the base depth.  Adding one independent linear Gaussian
 term turns the bridge-type increments |s-t|(1 - |s-t|) into orthogonal
 increments |s-t| exactly.
 
-Every sampler draws path i from its own Philox stream keyed by
-(seed, i), so Monte Carlo output is byte-identical for any worker count
-and any grouping of paths.
+Every sampler reads its variates from one Philox stream per (seed, kind,
+slot), and path i reads element i of each slot's stream.  Path i
+therefore gets the same values whatever the path count or worker count,
+and adding slots leaves the existing ones unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,49 +42,28 @@ from .series import (
     build_index_set,
 )
 
-_CHUNK = 8192
 _JITTER = 1e-14
 
 
-def _path_generator(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for one sample path."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+def _draw_path_matrices(seed: int, paths: int, n_uniform: int,
+                        n_normal: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-draw all variates, one row per path: uniforms U and normals Z.
 
-
-def _draw_path_matrices(
-    seed: int,
-    paths: int,
-    n_uniform: int,
-    n_normal: int,
-    workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw all variates, one row per path.
-
-    Per path the consumption order is fixed (uniforms first, then
-    normals), so the same (seed, path) pair always yields the same row
-    regardless of how paths are later grouped or parallelized.
+    Slot j of kind k (0 uniform, 1 normal) is one stream per (seed, kind,
+    slot), Philox keyed by (seed, k, j) and filled in one bulk call; path
+    i reads element i of it.  So the first n rows do not depend on the
+    path count, nor the first columns on how many slots of a kind follow.
     """
-    U = np.empty((paths, n_uniform))
-    Z = np.empty((paths, n_normal))
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            g = _path_generator(seed, i)
-            if n_uniform:
-                U[i] = g.random(n_uniform)
-            if n_normal:
-                Z[i] = g.standard_normal(n_normal)
-
-    if workers <= 1 or paths <= _CHUNK:
-        fill(0, paths)
-    else:
-        edges = list(range(0, paths, _CHUNK)) + [paths]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, lo, hi)
-                       for lo, hi in zip(edges[:-1], edges[1:])]
-            for fut in futures:
-                fut.result()
-    return U, Z
+    U = np.empty((n_uniform, paths))
+    Z = np.empty((n_normal, paths))
+    for kind, slots in enumerate((U, Z)):
+        for j, row in enumerate(slots):
+            g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, kind, j))))
+            if kind:
+                g.standard_normal(out=row)
+            else:
+                g.random(out=row)
+    return U.T, Z.T
 
 
 def _draw_tau(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -95,7 +74,8 @@ def _draw_tau(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _left_endpoint(cell_index: int, level: int) -> float:
-    return math.ldexp(float(cell_index), -2 * level)
+    # one correctly rounded division; keys past 2**1024 have no float
+    return int(cell_index) / 4 ** level
 
 
 @dataclass(frozen=True)
@@ -289,8 +269,7 @@ class BridgeLeaf:
         return int(self.positions.size)
 
     def covariance(self) -> np.ndarray:
-        scale = 4.0 ** self.level
-        return np.minimum.outer(self.local, self.local) - scale * np.outer(self.local, self.local)
+        return _bridge_covariance(self.local, self.level)
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals."""
@@ -312,6 +291,12 @@ def bridge_leaf_sample(level: int, cell, points: np.ndarray,
     return out
 
 
+def _bridge_covariance(local: np.ndarray, level: int) -> np.ndarray:
+    """min(s', t') - (2**level s')(2**level t'); finite past level 511."""
+    r = np.ldexp(local, level)
+    return np.minimum.outer(local, local) - np.outer(r, r)
+
+
 def _build_bridge(level: int, cell_index: int, points: np.ndarray,
                   start: int, stop: int) -> BridgeLeaf:
     left = _left_endpoint(cell_index, level)
@@ -325,8 +310,7 @@ def _build_bridge(level: int, cell_index: int, points: np.ndarray,
     if local.size == 0:
         chol = np.zeros((0, 0))
     else:
-        scale = 4.0 ** level
-        cov = np.minimum.outer(local, local) - scale * np.outer(local, local)
+        cov = _bridge_covariance(local, level)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -367,7 +351,7 @@ class ProcessSampler:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         U, Z = _draw_path_matrices(seed, paths, self.n_uniform_slots,
-                                   self.n_normal_slots, workers)
+                                   self.n_normal_slots)
         return self._evaluate(U, Z)
 
 
@@ -404,11 +388,7 @@ class AdversarialSampler(ProcessSampler):
         self.index_set = tree.index_set
         self.points = tree.index_set.points
         self.default_seed = seed
-        levels = [_level_masses(tree, measure.weights, k)
-                  for k in range(1, self.base_depth + 1)]
-        bridges: list[BridgeLeaf] = []
-        self._root = self._build(0, 0, 0, self.points.size, 0, levels, bridges)
-        self.bridges = tuple(bridges)
+        self._root, self.bridges = self._build(measure)
         self.n_uniform_slots = 5 * self.base_depth
         self.n_normal_slots = max((b.dim for b in self.bridges), default=0)
 
@@ -416,59 +396,69 @@ class AdversarialSampler(ProcessSampler):
         d = abs(s - t)
         return d * (1.0 - d)
 
-    def _build(self, level: int, row: int, start: int, stop: int, key: int,
-               levels, bridges: list[BridgeLeaf]) -> _Node:
-        """Node of cell ``row`` at ``level``; ``levels[level]`` holds its children."""
-        if level == self.base_depth:
-            bridge = _build_bridge(level, key, self.points, start, stop)
-            bridges.append(bridge)
-            return _Node(level, None, (), (), bridge)
-        starts, keys, masses, child_masses, good = levels[level]
-        lo, hi = np.searchsorted(starts, [start, stop])
-        # (slot, row, start, stop) of each nonempty child cell
-        kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
-                for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
-        skeleton = build_skeleton_variables(
-            child_masses[row], {j for j, c, _, _ in kids if good[c]})
-        segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
-                         for j, c, a, b in kids)
-        children = tuple(
-            (j, self._build(level + 1, c, a, b, int(keys[c]), levels, bridges))
-            for j, c, a, b in kids if masses[c] > 0.0
-        )
-        return _Node(level, skeleton, segments, children, None)
+    def _build(self, measure: DiscreteMeasure) -> tuple[_Node, tuple[BridgeLeaf, ...]]:
+        """Root node and bridge leaves, depth first with an explicit stack.
+
+        A stack entry is a cell (level, row, start, stop, key) with the
+        children list its node joins; siblings pop in slot order.
+        """
+        levels = [_level_masses(self.tree, measure.weights, k)
+                  for k in range(1, self.base_depth + 1)]
+        bridges: list[BridgeLeaf] = []
+        top: list = []
+        stack = [(0, 0, 0, self.points.size, 0, None, top)]
+        while stack:
+            level, row, start, stop, key, slot, out = stack.pop()
+            if level == self.base_depth:
+                bridge = _build_bridge(level, key, self.points, start, stop)
+                bridges.append(bridge)
+                node = _Node(level, None, (), [], bridge)
+            else:
+                starts, keys, masses, child_masses, good = levels[level]
+                lo, hi = np.searchsorted(starts, [start, stop])
+                # (slot, row, start, stop) of each nonempty child cell
+                kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
+                        for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
+                skeleton = build_skeleton_variables(
+                    child_masses[row], {j for j, c, _, _ in kids if good[c]})
+                segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
+                                 for j, c, a, b in kids)
+                node = _Node(level, skeleton, segments, [], None)
+                stack.extend((level + 1, c, a, b, int(keys[c]), j, node.children)
+                             for j, c, a, b in reversed(kids) if masses[c] > 0.0)
+            out.append((slot, node))
+        return top[0][1], tuple(bridges)
 
     def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        paths = U.shape[0] if self.n_uniform_slots else Z.shape[0]
+        """Process values; every node adds to its paths before its children do."""
+        paths = U.shape[0]
         vals = np.zeros((paths, self.points.size))
-        idx = np.arange(paths)
-        self._accumulate(self._root, idx, np.ones(paths), U, Z, vals)
+        stack = [(self._root, np.arange(paths), np.ones(paths))]
+        while stack:
+            node, idx, mult = stack.pop()
+            if node.bridge is not None:
+                b = node.bridge
+                if b.dim:
+                    draws = Z[idx, :b.dim] @ b.chol.T
+                    vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
+                continue
+            k = node.level + 1
+            base = 5 * node.level
+            sk = node.skeleton
+            tau = _draw_tau(sk.probs, U[idx, base])
+            free = np.where(U[idx, base + 1:base + 5] < 0.5, 1.0, -1.0)
+            S = s_skeleton(sk.increments(tau, free))
+            down, up = 2.0 ** -k, 2.0 ** k
+            for j, start, stop, left in node.segments:
+                offs = (self.points[start:stop] - left)[None, :]
+                seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
+                vals[idx, start:stop] += mult[:, None] * seg
+            for j, child in node.children:
+                sel = tau == j
+                if sel.any():
+                    stack.append((child, idx[sel],
+                                  mult[sel] / math.sqrt(float(sk.probs[j]))))
         return vals
-
-    def _accumulate(self, node, idx, mult, U, Z, vals) -> None:
-        if node.bridge is not None:
-            b = node.bridge
-            if b.dim:
-                draws = Z[idx, :b.dim] @ b.chol.T
-                vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
-            return
-        k = node.level + 1
-        base = 5 * node.level
-        sk = node.skeleton
-        tau = _draw_tau(sk.probs, U[idx, base])
-        free = np.where(U[idx, base + 1:base + 5] < 0.5, 1.0, -1.0)
-        S = s_skeleton(sk.increments(tau, free))
-        down, up = 2.0 ** -k, 2.0 ** k
-        for j, start, stop, left in node.segments:
-            offs = (self.points[start:stop] - left)[None, :]
-            seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
-            vals[idx, start:stop] += mult[:, None] * seg
-        for j, child in node.children:
-            sel = tau == j
-            if sel.any():
-                self._accumulate(child, idx[sel],
-                                 mult[sel] / math.sqrt(float(sk.probs[j])),
-                                 U, Z, vals)
 
 
 def build_adversarial_process(
@@ -619,7 +609,7 @@ class OrthonormalGenerator:
     def sample_matrix(self, n_terms: int, paths: int, seed: int,
                       workers: int = 1) -> np.ndarray:
         U, Z = _draw_path_matrices(seed, paths, self.uniform_slots(n_terms),
-                                   self.normal_slots(n_terms), workers)
+                                   self.normal_slots(n_terms))
         return self.rows(U, Z, n_terms)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm.processes import _build_bridge
+from orthomm.processes import _build_bridge, _draw_path_matrices
 
 PATHS = 40_000
 
@@ -361,6 +361,24 @@ def test_adversarial_point_mass_measure():
     assert mc_close(vals[:, 1] ** 2, 0.25 * (1.0 - 0.25))
 
 
+@pytest.mark.parametrize("depth", [512, 537])
+def test_adversarial_past_float_levels(depth):
+    # one node per level: 537 levels once overflowed the recursion limit,
+    # 4.0**512 the bridge covariance and keys past 2**1024 the endpoints
+    index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
+    tree = om.build_partition(index)
+    u = om.make_measure(index, "uniform")
+    sampler = om.build_adversarial_process(tree, u, depth, seed=3)
+    assert sampler.base_depth == depth
+    vals = sampler.sample(2_000)
+    assert vals.shape == (2_000, 4) and np.all(np.isfinite(vals))
+    assert np.array_equal(vals[:, 0], np.zeros(2_000))
+    pts = index.points
+    for i, j in ((0, 3), (1, 3), (2, 3)):
+        sq = (vals[:, i] - vals[:, j]) ** 2
+        assert mc_close(sq, sampler.second_moment(pts[i], pts[j]))
+
+
 # ---------------------------------------------------------------------------
 # orthogonal lift
 
@@ -401,6 +419,53 @@ def test_lift_dominates_inner_supremum():
     paired = X.max(axis=1) - Y.max(axis=1)
     se = paired.std(ddof=1) / math.sqrt(paired.size)
     assert paired.mean() >= -3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# variate streams
+
+
+def test_draws_do_not_depend_on_path_count():
+    U, Z = _draw_path_matrices(17, 9_000, 3, 4)
+    U2, Z2 = _draw_path_matrices(17, 20_000, 3, 4)
+    assert np.array_equal(U, U2[:9_000])
+    assert np.array_equal(Z, Z2[:9_000])
+
+
+def test_extra_slots_keep_existing_columns():
+    U, Z = _draw_path_matrices(17, 500, 3, 4)
+    U2, Z2 = _draw_path_matrices(17, 500, 3, 4 + 5)
+    assert np.array_equal(U, U2) and np.array_equal(Z, Z2[:, :4])
+    U3, Z3 = _draw_path_matrices(17, 500, 3 + 5, 4)
+    assert np.array_equal(U, U3[:, :3]) and np.array_equal(Z, Z3)
+
+
+def test_each_slot_reads_its_own_stream():
+    U, Z = _draw_path_matrices(17, 500, 2, 2)
+
+    def stream(*key):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+    for j in range(2):
+        assert np.array_equal(U[:, j], stream(17, 0, j).random(500))
+        assert np.array_equal(Z[:, j], stream(17, 1, j).standard_normal(500))
+        # the two kinds of slot j are not one stream read twice
+        assert not np.array_equal(U[:, j], stream(17, 1, j).random(500))
+    U2, Z2 = _draw_path_matrices(18, 500, 2, 2)
+    assert not np.any(U == U2) and not np.any(Z == Z2)
+    cols = np.hstack([U, Z])
+    assert len({c.tobytes() for c in cols.T}) == 4
+
+
+def test_slot_columns_coarse_moments():
+    paths = 20_000
+    U, Z = _draw_path_matrices(29, paths, 32, 32)
+    std = np.hstack([(U - 0.5) * math.sqrt(12.0), Z])
+    assert std.shape == (paths, 64)
+    assert np.all(np.abs(std.mean(axis=0)) <= 5.0 / math.sqrt(paths))
+    corr = np.corrcoef(std, rowvar=False)
+    off = np.abs(corr[~np.eye(64, dtype=bool)])
+    assert off.max() < 5.0 / math.sqrt(paths)
 
 
 # ---------------------------------------------------------------------------
