@@ -40,8 +40,8 @@ from .optimize import (
 )
 from .processes import (
     AdversarialSampler,
+    OrthogonalLift,
     OrthonormalGenerator,
-    bridge_to_orthogonal,
     build_skeleton_variables,
     lower_bound_report,
     s_skeleton,
@@ -103,14 +103,9 @@ def _parse_coeffs(arg: str) -> CoefficientSequence:
 
 def _optimizer_options(args) -> OptimizerOptions:
     try:
-        return OptimizerOptions(
-            max_iters=getattr(args, "max_iters", 2000),
-            tol=getattr(args, "tol", 1e-8),
-            step0=getattr(args, "step0", 1.0),
-            restarts=getattr(args, "restarts", 8),
-            seed=getattr(args, "seed", None),
-            workers=getattr(args, "workers", 1),
-        )
+        return OptimizerOptions(max_iters=args.max_iters, tol=args.tol,
+                                step0=args.step0, restarts=args.restarts,
+                                seed=args.seed)
     except ValueError as exc:
         raise CLIError(str(exc))
 
@@ -163,7 +158,7 @@ def _require_seed(args) -> int:
 
 def _emit(args, command: str, config: dict, report: dict,
           csv_rows: list | None = None) -> None:
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         if csv_rows is None:
             raise CLIError("csv output is only available for the per-level "
                            "table of evaluate")
@@ -176,13 +171,12 @@ def _emit(args, command: str, config: dict, report: dict,
     else:
         payload = {"schema": SCHEMA, "command": command,
                    "config": config, "report": report}
-        if not getattr(args, "no_timestamp", False):
+        if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
         text = json.dumps(payload, sort_keys=True, indent=2,
                           allow_nan=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -241,8 +235,7 @@ def suite_lemma4(seed: int, instances: int = 50) -> dict:
             "passed": all(c["ok"] for c in checks)}
 
 
-def suite_bridge(tree, measure, paths: int, seed: int,
-                 workers: int = 1, pairs: int = 10) -> dict:
+def suite_bridge(tree, measure, paths: int, seed: int, pairs: int = 10) -> dict:
     """Bridge factorization exactness and MC increment second moments."""
     points = tree.index_set.points
     if points.size < 2:
@@ -260,12 +253,12 @@ def suite_bridge(tree, measure, paths: int, seed: int,
         "tol": 1e-8,
         "ok": bool(fact_err <= 1e-8),
     }]
-    lift = bridge_to_orthogonal(adv)
+    lift = OrthogonalLift(adv)
     rng = np.random.default_rng(seed)
     idx_pairs = [sorted(rng.choice(points.size, size=2, replace=False).tolist())
                  for _ in range(pairs)]
     for label, sampler in (("bridge", adv), ("lift", lift)):
-        vals = sampler.sample(paths, seed, workers)
+        vals = sampler.sample(paths, seed)
         for i, j in idx_pairs:
             sq = (vals[:, i] - vals[:, j]) ** 2
             measured = float(sq.mean())
@@ -282,11 +275,10 @@ def suite_bridge(tree, measure, paths: int, seed: int,
             "passed": all(c["ok"] for c in checks)}
 
 
-def suite_chaining(seq, measure, generator, paths: int, seed: int,
-                   workers: int = 1) -> dict:
+def suite_chaining(seq, measure, generator, paths: int, seed: int) -> dict:
     if seq is None or measure.index_set.points.size < 2:
         return {"suite": "chaining", "checks": [], "passed": True}
-    rep = verify_chaining_bound(seq, measure, generator, paths, seed, workers)
+    rep = verify_chaining_bound(seq, measure, generator, paths, seed)
     check = {
         "name": "chaining_bound",
         "measured": rep.estimate.mean,
@@ -298,11 +290,10 @@ def suite_chaining(seq, measure, generator, paths: int, seed: int,
     return {"suite": "chaining", "checks": [check], "passed": check["ok"]}
 
 
-def suite_lowerbound(measure, tree, depth: int, paths: int, seed: int,
-                     workers: int = 1) -> dict:
+def suite_lowerbound(measure, tree, depth: int, paths: int, seed: int) -> dict:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = lower_bound_report(measure, tree, depth, paths, seed, workers)
+        rep = lower_bound_report(measure, tree, depth, paths, seed)
     check = {
         "name": "lower_bound",
         "filtered_sum": rep.filtered_sum,
@@ -419,9 +410,8 @@ def cmd_simulate(args) -> int:
     seq, index_set, tree, notes, _ = _build_objects(args)
     measure = _parse_measure(args.measure, index_set, args)
     generator = OrthonormalGenerator(args.generator)
-    sup = simulate_sup_square(seq, generator, args.paths, seed, args.workers)
-    chain = verify_chaining_bound(seq, measure, generator, args.paths, seed,
-                                  args.workers)
+    sup = simulate_sup_square(seq, generator, args.paths, seed)
+    chain = verify_chaining_bound(seq, measure, generator, args.paths, seed)
     report = {
         "sup_square": sup.to_json(),
         "chaining": chain.to_json(),
@@ -442,7 +432,7 @@ def cmd_adversarial(args) -> int:
     with warnings.catch_warnings(record=True) as wl:
         warnings.simplefilter("always")
         rep = lower_bound_report(measure, tree, args.base_depth, args.paths,
-                                 seed, args.workers)
+                                 seed)
     notes += [str(w.message) for w in wl]
     report = rep.to_json()
     report["warnings"] = notes
@@ -468,16 +458,14 @@ def cmd_verify(args) -> int:
         elif name == "lemma4":
             results.append(suite_lemma4(args.seed))
         elif name == "bridge":
-            results.append(suite_bridge(tree, measure, args.paths, args.seed,
-                                        args.workers))
+            results.append(suite_bridge(tree, measure, args.paths, args.seed))
         elif name == "chaining":
             generator = OrthonormalGenerator(args.generator)
             results.append(suite_chaining(seq, measure, generator, args.paths,
-                                          args.seed, args.workers))
+                                          args.seed))
         elif name == "lowerbound":
             results.append(suite_lowerbound(measure, tree, args.base_depth,
-                                            args.paths, args.seed,
-                                            args.workers))
+                                            args.paths, args.seed))
         else:
             results.append(suite_inequalities(tree, args.random_measures,
                                               args.seed))
@@ -502,13 +490,12 @@ def cmd_pipeline(args) -> int:
         stage = "chaining"
         generator = OrthonormalGenerator(args.generator)
         chain = verify_chaining_bound(seq, opt.measure, generator, args.paths,
-                                      seed, args.workers)
+                                      seed)
         stage = "lowerbound"
         with warnings.catch_warnings(record=True) as wl:
             warnings.simplefilter("always")
             lower = lower_bound_report(opt.measure, tree,
-                                       args.adversarial_depth, args.paths,
-                                       seed, args.workers)
+                                       args.adversarial_depth, args.paths, seed)
         notes += [str(w.message) for w in wl]
     except CLIError as exc:
         raise CLIError(f"{stage}: {exc}")
@@ -541,6 +528,14 @@ def cmd_pipeline(args) -> int:
 # parser
 
 
+def _workers(text: str) -> int:
+    """``--workers N``: any N >= 1 is accepted and nothing reads it."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("workers must be at least 1")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthomm",
@@ -558,7 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for reproducible bytes")
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=_workers, default=1,
+                        help="accepted for compatibility; results never "
+                             "depend on it")
 
     depth_opt = argparse.ArgumentParser(add_help=False)
     depth_opt.add_argument("--depth", default="auto",

@@ -40,6 +40,7 @@ __all__ = [
     "dyadic_bound",
     "dyadic_sup_bound",
     "rademacher_menchov",
+    "good_children",
     "classify_good_indices",
     "filtered_bound",
     "evaluate_functionals",

@@ -39,7 +39,6 @@ class OptimizerOptions:
     step0: float = 1.0         # step at iteration k is step0 / sqrt(k)
     restarts: int = 8          # maximize_weak only; uniform start included
     seed: int | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -50,8 +49,6 @@ class OptimizerOptions:
             raise ValueError("step0 must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)

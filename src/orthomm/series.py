@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "DomainError",
     "CoefficientSequence",
     "IndexSet",
-    "PartitionCell",
     "PartitionTree",
     "DiscreteMeasure",
     "build_index_set",
@@ -269,19 +268,6 @@ def _level_arrays(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, keys[starts]
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    """A level cell: quad-adic index and point-slice bounds."""
-
-    index: int
-    start: int
-    stop: int
-
-    @property
-    def count(self) -> int:
-        return self.stop - self.start
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
     """Nested quad-adic cells over an index set, stored as per-level arrays.
@@ -311,32 +297,6 @@ class PartitionTree:
         if k <= self.depth:
             return self.levels[k], self.keys[k]
         return _level_arrays(self.index_set.points, k)
-
-    def level_cells(self, k: int) -> tuple[PartitionCell, ...]:
-        """Nonempty cells at any level, as a view of the level arrays."""
-        starts, keys = self.cell_arrays(k)
-        stops = np.r_[starts[1:], len(self.index_set)]
-        return tuple(PartitionCell(index=int(i), start=int(a), stop=int(b))
-                     for i, a, b in zip(keys, starts, stops))
-
-    def cell_masses(self, cells: Sequence[PartitionCell], weights: np.ndarray) -> np.ndarray:
-        """Mass of each cell, summed within the cell; empty cells give 0.0."""
-        bounds = np.array([(c.start, c.stop) for c in cells], dtype=np.int64).ravel()
-        # the padding zero keeps every index below the array length, and
-        # reduceat returns a lone weight for an empty cell, hence the mask
-        sums = np.add.reduceat(np.append(weights, 0.0), bounds)[::2]
-        return np.where([c.count > 0 for c in cells], sums, 0.0)
-
-    def children_of(self, cell: PartitionCell, child_level: int) -> list[PartitionCell]:
-        """The four child cells of ``cell`` (empty ones with start == stop)."""
-        starts, keys = _level_arrays(self.points[cell.start:cell.stop], child_level)
-        if np.any(keys // 4 != cell.index):
-            raise AssertionError("internal consistency error: child split mismatch")
-        counts = np.zeros(4, dtype=np.int64)
-        counts[(keys % 4).astype(np.intp)] = np.diff(np.r_[starts, cell.count])
-        edges = cell.start + np.r_[0, np.cumsum(counts)]
-        return [PartitionCell(index=4 * cell.index + j, start=int(edges[j]),
-                              stop=int(edges[j + 1])) for j in range(4)]
 
 
 def build_partition(index_set: IndexSet, max_depth: int | str = "auto") -> PartitionTree:

@@ -318,7 +318,60 @@ def test_pipeline_requires_seed(capsys):
 
 
 # ---------------------------------------------------------------------------
+# failing checks
+
+
+def test_simulate_fails_when_the_chaining_bound_is_tiny(monkeypatch, capsys):
+    monkeypatch.setattr("orthomm.processes.CHAINING_CONSTANT", 1e-9)
+    rc, out, _ = run("simulate", "--coeffs", SMALL, "--seed", "3", "--paths",
+                     "2000", "--no-timestamp", capsys=capsys)
+    assert rc == 1
+    rep = json.loads(out)["report"]
+    assert rep["passed"] is False and rep["chaining"]["passed"] is False
+
+
+def test_adversarial_fails_when_the_lower_bound_factor_is_tiny(monkeypatch, capsys):
+    monkeypatch.setattr("orthomm.processes.LOWER_BOUND_FACTOR", 1e-9)
+    rc, out, _ = run("adversarial", "--coeffs", SMALL, "--seed", "3",
+                     "--paths", "2000", "--no-timestamp", capsys=capsys)
+    assert rc == 1
+    assert json.loads(out)["report"]["passed"] is False
+
+
+@pytest.mark.parametrize("constant, failed", [
+    ("CHAINING_CONSTANT", "chaining"),
+    ("LOWER_BOUND_FACTOR", "lower_bound"),
+])
+def test_pipeline_fails_with_a_tiny_constant(constant, failed, monkeypatch, capsys):
+    monkeypatch.setattr(f"orthomm.processes.{constant}", 1e-9)
+    rc, out, _ = run(*PIPELINE_ARGS, capsys=capsys)
+    assert rc == 1
+    rep = json.loads(out)["report"]
+    assert rep["passed"] is False
+    assert rep[failed]["passed"] is False
+    other = "lower_bound" if failed == "chaining" else "chaining"
+    assert rep[other]["passed"] is True
+
+
+# ---------------------------------------------------------------------------
 # top-level behavior
+
+
+@pytest.mark.parametrize("command", ["build", "evaluate", "optimize", "simulate",
+                                     "adversarial", "verify", "pipeline"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_usage_error(command, workers, capsys):
+    argv = [command, "--workers", workers, "--seed", "1"]
+    if command == "build":
+        argv = [command, "--workers", workers]
+    if command == "verify":
+        argv += ["--suite", "skeleton"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers must be at least 1" in captured.err
 
 
 def test_version_flag():

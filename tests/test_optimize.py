@@ -37,8 +37,6 @@ def test_options_validation():
         OptimizerOptions(step0=-1.0)
     with pytest.raises(ValueError):
         OptimizerOptions(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(workers=0)
 
 
 # ---------------------------------------------------------------------------

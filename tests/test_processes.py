@@ -161,8 +161,10 @@ def test_skeleton_guarantee_matches_negative_part(seed):
 
 
 def test_skeleton_sampling_matches_law():
-    sk = om.build_skeleton_variables([0.4, 0.1, 0.4, 0.1], {0}, seed=5)
-    tau, z = sk.sample(20_000)
+    # the five uniform slots one level of the adversarial sampler reads
+    sk = om.build_skeleton_variables([0.4, 0.1, 0.4, 0.1], {0})
+    U, _ = _draw_path_matrices(5, 20_000, 5, 0)
+    tau, z = sk.from_uniforms(U)
     freq = np.bincount(tau, minlength=4) / tau.size
     err = 5.0 * np.sqrt(sk.probs * (1 - sk.probs) / tau.size)
     assert np.all(np.abs(freq - sk.probs) <= err + 1e-12)
@@ -244,10 +246,9 @@ def test_oracle_rejects_bad_arguments():
 
 def test_bridge_factorization_and_covariance():
     index, tree, _, _ = uniform_setup(12)
-    for cell in tree.level_cells(1):
-        if cell.count == 0:
-            continue
-        b = _build_bridge(1, cell.index, index.points, cell.start, cell.stop)
+    starts, keys = tree.cell_arrays(1)
+    for key, start, stop in zip(keys, starts, np.r_[starts[1:], len(index)]):
+        b = _build_bridge(1, int(key), index.points, int(start), int(stop))
         cov = b.covariance()
         assert np.allclose(b.chol @ b.chol.T, cov, atol=1e-10)
         assert b.jitter == 0.0
@@ -257,22 +258,26 @@ def test_bridge_factorization_and_covariance():
 def test_bridge_pins_left_endpoint_points():
     index = explicit_set(0.5)
     tree = om.build_partition(index)
-    cell = tree.level_cells(1)[0]
+    starts, keys = tree.cell_arrays(1)
+    assert (starts[0], starts[1], keys[0]) == (0, 1, 0)
+    b = _build_bridge(1, 0, index.points, 0, 1)
+    assert b.pinned.tolist() == [0] and b.dim == 0
     rng = np.random.default_rng(0)
-    draws = np.array([om.bridge_leaf_sample(1, cell, index.points, rng)
-                      for _ in range(50)])
-    assert np.array_equal(draws, np.zeros_like(draws))
+    draws = b.values(rng.standard_normal((50, b.dim)))
+    assert draws.shape == (50, 0)
 
 
 def test_bridge_sample_varies_at_interior_points():
     index = explicit_set(0.1, 0.1, 0.1)
     tree = om.build_partition(index, max_depth=0)
-    (cell,) = tree.level_cells(0)
+    assert tree.cell_arrays(0)[0].tolist() == [0]
+    b = _build_bridge(0, 0, index.points, 0, len(index))
+    assert b.pinned.tolist() == [0]
+    assert b.positions.tolist() == [1, 2, 3]
     rng = np.random.default_rng(1)
-    draws = np.array([om.bridge_leaf_sample(0, cell, index.points, rng)
-                      for _ in range(200)])
-    assert np.array_equal(draws[:, 0], np.zeros(200))
-    assert draws[:, 1:].std() > 0
+    draws = b.values(rng.standard_normal((200, b.dim)))
+    assert draws.shape == (200, 3)
+    assert np.all(draws.std(axis=0) > 0)
 
 
 def test_bridge_jitter_fallback_on_singular_cells():
@@ -298,8 +303,8 @@ def test_bridge_empirical_covariance():
 
 def test_adversarial_value_at_zero_is_zero():
     index, tree, u, depth = uniform_setup(9, depth=2)
-    sampler = om.build_adversarial_process(tree, u, depth, seed=3)
-    vals = sampler.sample(500)
+    sampler = om.build_adversarial_process(tree, u, depth)
+    vals = sampler.sample(500, 3)
     assert vals.shape == (500, index.points.size)
     assert np.array_equal(vals[:, 0], np.zeros(500))
 
@@ -307,8 +312,8 @@ def test_adversarial_value_at_zero_is_zero():
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_adversarial_increment_second_moments(depth):
     index, tree, u, depth = uniform_setup(9, depth=depth)
-    sampler = om.build_adversarial_process(tree, u, depth, seed=11)
-    vals = sampler.sample(PATHS)
+    sampler = om.build_adversarial_process(tree, u, depth)
+    vals = sampler.sample(PATHS, 11)
     rng = np.random.default_rng(5)
     pts = index.points
     for _ in range(8):
@@ -319,28 +324,28 @@ def test_adversarial_increment_second_moments(depth):
 
 def test_adversarial_determinism_across_workers_and_rebuilds():
     _, tree, u, depth = uniform_setup(9, depth=2)
-    a = om.build_adversarial_process(tree, u, depth, seed=9).sample(300, workers=1)
-    b = om.build_adversarial_process(tree, u, depth, seed=9).sample(300, workers=4)
+    a = om.build_adversarial_process(tree, u, depth).sample(300, 9)
+    b = om.build_adversarial_process(tree, u, depth).sample(300, 9)
     assert np.array_equal(a, b)
-    c = om.build_adversarial_process(tree, u, depth, seed=10).sample(300)
+    c = om.build_adversarial_process(tree, u, depth).sample(300, 10)
     assert not np.array_equal(a, c)
 
 
 def test_adversarial_seed_and_path_validation():
     _, tree, u, depth = uniform_setup(4, depth=1)
     sampler = om.build_adversarial_process(tree, u, depth)
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(TypeError, match="seed"):
         sampler.sample(100)
+    with pytest.raises(ValueError, match="nonnegative seed"):
+        sampler.sample(100, -1)
     with pytest.raises(ValueError, match="path"):
         sampler.sample(0, seed=1)
-    with pytest.raises(ValueError, match="workers"):
-        sampler.sample(100, seed=1, workers=0)
 
 
 def test_adversarial_depth_clip_warning():
     _, tree, u, _ = uniform_setup(4)
     with pytest.warns(RuntimeWarning, match="exceeds partition depth"):
-        sampler = om.build_adversarial_process(tree, u, tree.depth + 2, seed=0)
+        sampler = om.build_adversarial_process(tree, u, tree.depth + 2)
     assert sampler.base_depth == tree.depth
 
 
@@ -355,8 +360,8 @@ def test_adversarial_point_mass_measure():
     index = explicit_set(0.5)
     tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    sampler = om.build_adversarial_process(tree, pm, 1, seed=2)
-    vals = sampler.sample(PATHS)
+    sampler = om.build_adversarial_process(tree, pm, 1)
+    vals = sampler.sample(PATHS, 2)
     assert np.array_equal(vals[:, 0], np.zeros(PATHS))
     assert mc_close(vals[:, 1] ** 2, 0.25 * (1.0 - 0.25))
 
@@ -368,9 +373,9 @@ def test_adversarial_past_float_levels(depth):
     index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
     tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    sampler = om.build_adversarial_process(tree, u, depth, seed=3)
+    sampler = om.build_adversarial_process(tree, u, depth)
     assert sampler.base_depth == depth
-    vals = sampler.sample(2_000)
+    vals = sampler.sample(2_000, 3)
     assert vals.shape == (2_000, 4) and np.all(np.isfinite(vals))
     assert np.array_equal(vals[:, 0], np.zeros(2_000))
     pts = index.points
@@ -385,11 +390,11 @@ def test_adversarial_past_float_levels(depth):
 
 def test_lift_pairs_paths_with_inner_sampler():
     index, tree, u, depth = uniform_setup(9, depth=2)
-    inner = om.build_adversarial_process(tree, u, depth, seed=21)
-    lift = om.bridge_to_orthogonal(inner)
+    inner = om.build_adversarial_process(tree, u, depth)
+    lift = om.OrthogonalLift(inner)
     assert lift.n_normal_slots == inner.n_normal_slots + 1
-    X = lift.sample(1_000)
-    Y = inner.sample(1_000)
+    X = lift.sample(1_000, 21)
+    Y = inner.sample(1_000, 21)
     diff = X - Y
     pts = index.points
     ratio = diff[:, 1:] / pts[None, 1:]
@@ -399,8 +404,8 @@ def test_lift_pairs_paths_with_inner_sampler():
 
 def test_lift_increment_second_moments():
     index, tree, u, depth = uniform_setup(9, depth=2)
-    lift = om.bridge_to_orthogonal(om.build_adversarial_process(tree, u, depth, seed=22))
-    vals = lift.sample(PATHS)
+    lift = om.OrthogonalLift(om.build_adversarial_process(tree, u, depth))
+    vals = lift.sample(PATHS, 22)
     pts = index.points
     rng = np.random.default_rng(6)
     for _ in range(8):
@@ -412,10 +417,10 @@ def test_lift_increment_second_moments():
 
 def test_lift_dominates_inner_supremum():
     _, tree, u, depth = uniform_setup(9, depth=2)
-    inner = om.build_adversarial_process(tree, u, depth, seed=23)
-    lift = om.bridge_to_orthogonal(inner)
-    X = lift.sample(PATHS)
-    Y = inner.sample(PATHS)
+    inner = om.build_adversarial_process(tree, u, depth)
+    lift = om.OrthogonalLift(inner)
+    X = lift.sample(PATHS, 23)
+    Y = inner.sample(PATHS, 23)
     paired = X.max(axis=1) - Y.max(axis=1)
     se = paired.std(ddof=1) / math.sqrt(paired.size)
     assert paired.mean() >= -3.0 * se
@@ -507,13 +512,6 @@ def test_trigonometric_rows_shared_frequency():
         assert np.allclose(np.abs(phi[:, n - 1]), np.abs(expect), atol=1e-8)
 
 
-def test_generator_chunked_sampling_is_worker_invariant():
-    gen = om.OrthonormalGenerator("gaussian")
-    a = gen.sample_matrix(4, 2 * 8192 + 7, seed=13, workers=1)
-    b = gen.sample_matrix(4, 2 * 8192 + 7, seed=13, workers=3)
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # supremum simulation and bound checks
 
@@ -566,6 +564,16 @@ def test_verify_chaining_bound_two_points():
     assert doc["passed"] is True and doc["skipped"] is False
 
 
+def test_verify_chaining_bound_fails_with_a_tiny_constant(monkeypatch):
+    monkeypatch.setattr("orthomm.processes.CHAINING_CONSTANT", 1e-9)
+    u = om.make_measure(explicit_set(0.5), "uniform")
+    rep = om.verify_chaining_bound([0.5], u, om.OrthonormalGenerator("gaussian"),
+                                   paths=2_000, seed=6)
+    assert rep.bound == 1e-9 * rep.strong_value ** 2
+    assert not rep.skipped and not rep.passed
+    assert rep.to_json()["passed"] is False
+
+
 def test_verify_chaining_bound_point_mass_is_skipped():
     index = explicit_set(0.5)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
@@ -593,6 +601,19 @@ def test_lower_bound_report_uniform_four_grid():
         + 3.0 * rep.estimate.stderr
     assert rep.passed
     assert rep.base_depth == 1
+
+
+def test_lower_bound_report_fails_with_a_tiny_factor(monkeypatch):
+    monkeypatch.setattr("orthomm.processes.LOWER_BOUND_FACTOR", 1e-9)
+    index = explicit_set(0.5, 0.5, 0.5)
+    tree = om.build_partition(index)
+    u = om.make_measure(index, "uniform")
+    rep = om.lower_bound_report(u, tree, base_depth=1, paths=5_000, seed=3)
+    assert rep.filtered_sum == 1.0
+    assert rep.threshold == 1e-9 * math.sqrt(rep.estimate.mean) \
+        + 3.0 * rep.estimate.stderr
+    assert not rep.passed
+    assert rep.to_json()["passed"] is False
 
 
 def test_lower_bound_report_clips_depth_with_warning():

@@ -131,21 +131,25 @@ def test_index_set_inside_unit_interval(values):
 # partitions
 
 
+def cell_counts(tree: om.PartitionTree, k: int) -> np.ndarray:
+    starts, _ = tree.cell_arrays(k)
+    return np.diff(np.r_[starts, len(tree.index_set)])
+
+
 def test_partition_of_two_points():
     tree = om.build_partition(explicit_set(0.5))
     assert tree.separation_depth == 1
-    cells = tree.level_cells(1)
-    counts = [c.count for c in cells]
-    assert sum(counts) == 2
-    assert max(counts) == 1
+    counts = cell_counts(tree, 1)
+    assert counts.sum() == 2
+    assert counts.max() == 1
 
 
 def test_partition_four_grid_splits_at_level_one():
     tree = om.build_partition(explicit_set(0.5, 0.5, 0.5))
     assert np.array_equal(tree.points, [0.0, 0.25, 0.5, 0.75])
     assert tree.separation_depth == 1
-    assert [c.count for c in tree.level_cells(1)] == [1, 1, 1, 1]
-    assert [c.index for c in tree.level_cells(1)] == [0, 1, 2, 3]
+    assert cell_counts(tree, 1).tolist() == [1, 1, 1, 1]
+    assert tree.cell_arrays(1)[1].tolist() == [0, 1, 2, 3]
 
 
 def test_singleton_partition_has_depth_zero():
@@ -153,38 +157,42 @@ def test_singleton_partition_has_depth_zero():
                         raw_total=0.0, merged_duplicates=0)
     tree = om.build_partition(index)
     assert tree.separation_depth == 0
-    (cell,) = tree.level_cells(0)
-    assert cell.count == 1
+    assert cell_counts(tree, 0).tolist() == [1]
 
 
 def test_level_cells_partition_the_points():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
     tree = om.build_partition(index)
     for k in range(tree.depth + 1):
-        cells = tree.level_cells(k)
-        assert sum(c.count for c in cells) == index.points.size
-        stops = [c.stop for c in cells]
-        starts = [c.start for c in cells]
-        assert starts[0] == 0 and stops[-1] == index.points.size
-        assert starts[1:] == stops[:-1]
+        starts, keys = tree.cell_arrays(k)
+        assert starts[0] == 0
+        assert np.all(np.diff(starts) > 0)
+        assert cell_counts(tree, k).sum() == index.points.size
+        # every point of a cell has the cell's key, and neighbours differ
+        own = np.repeat(keys, cell_counts(tree, k))
+        assert np.array_equal(own, np.floor(index.points * 4.0 ** k))
+        assert np.all(np.diff(keys) > 0)
 
 
 def test_children_refine_parent():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
     tree = om.build_partition(index)
     for k in range(tree.depth):
-        for cell in tree.level_cells(k):
-            kids = tree.children_of(cell, k + 1)
-            assert sum(c.count for c in kids) == cell.count
-            for kid in kids:
-                assert kid.index // 4 == cell.index
+        starts, keys = tree.cell_arrays(k)
+        kid_starts, kid_keys = tree.cell_arrays(k + 1)
+        assert np.all(np.isin(starts, kid_starts))
+        parent = np.searchsorted(starts, kid_starts, side="right") - 1
+        assert np.array_equal(kid_keys // 4, keys[parent])
+        kids_per_parent = np.add.reduceat(cell_counts(tree, k + 1),
+                                          np.searchsorted(kid_starts, starts))
+        assert np.array_equal(kids_per_parent, cell_counts(tree, k))
 
 
 def test_level_cells_beyond_stored_depth():
     tree = om.build_partition(explicit_set(0.5))
-    deep = tree.level_cells(tree.depth + 3)
-    assert sum(c.count for c in deep) == 2
-    assert max(c.count for c in deep) == 1
+    deep = cell_counts(tree, tree.depth + 3)
+    assert deep.sum() == 2
+    assert deep.max() == 1
 
 
 def test_cell_masses_sum_to_one():
@@ -192,7 +200,8 @@ def test_cell_masses_sum_to_one():
     tree = om.build_partition(index)
     measure = om.make_measure(index, "uniform")
     for k in range(tree.depth + 1):
-        masses = tree.cell_masses(tree.level_cells(k), measure.weights)
+        starts, _ = tree.cell_arrays(k)
+        masses = np.add.reduceat(measure.weights, starts)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
