@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .series import CoefficientSequence, DiscreteMeasure, PartitionTree
+from .series import CoefficientSequence, DiscreteMeasure, IndexSet, PartitionTree
 
 __all__ = [
     "FILTER_WEIGHT",
@@ -64,7 +63,12 @@ COMBINED_BOUND_FORMULA = "K = (1 - L/2)**-1 * (L + 64 * sqrt(B))"
 
 
 # ---------------------------------------------------------------------------
-# distance profile (measure independent, cached per index set)
+# distance profile (measure independent, stored on its index set)
+
+# Entries per block of rows.  A block's float temporaries take 512 KiB, so
+# they stay in cache where whole (P, P) temporaries did not: 31 rows at
+# P = 2049, and one block holding every row up to P = 256.
+_BLOCK_ITEMS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -73,17 +77,36 @@ class _DistanceProfile:
     seg: np.ndarray    # (P, P) increments of sqrt(distance), capped at sqrt(D)
 
 
-@lru_cache(maxsize=64)
-def _profile(index_set) -> _DistanceProfile:
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of range(n), each of _BLOCK_ITEMS // n rows or one."""
+    step = max(1, _BLOCK_ITEMS // n)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
+def _profile(index_set: IndexSet) -> _DistanceProfile:
+    """The distance profile of ``index_set``, built once and kept on it.
+
+    It takes 16 P^2 bytes and lives exactly as long as the index set.
+    A stable argsort orders each row on its own, so building it one block
+    of rows at a time gives the same arrays as one whole-matrix sort.
+    """
+    prof = index_set.__dict__.get("_distance_profile")
+    if prof is not None:
+        return prof
     pts = index_set.points
-    dist = np.abs(pts[None, :] - pts[:, None])
-    order = np.argsort(dist, axis=1, kind="stable")
-    sq = np.sqrt(np.take_along_axis(dist, order, axis=1))
+    n = pts.size
     root_d = math.sqrt(index_set.diameter)
-    seg = np.empty_like(sq)
-    seg[:, :-1] = sq[:, 1:] - sq[:, :-1]
-    seg[:, -1] = root_d - sq[:, -1]
-    return _DistanceProfile(order=order, seg=seg)
+    order = np.empty((n, n), dtype=np.intp)
+    seg = np.empty((n, n))
+    for rows in _row_blocks(n):
+        dist = np.abs(pts[None, :] - pts[rows, None])
+        order[rows] = np.argsort(dist, axis=1, kind="stable")
+        sq = np.sqrt(np.take_along_axis(dist, order[rows], axis=1))
+        np.subtract(sq[:, 1:], sq[:, :-1], out=seg[rows, :-1])
+        np.subtract(root_d, sq[:, -1], out=seg[rows, -1])
+    prof = _DistanceProfile(order=order, seg=seg)
+    object.__setattr__(index_set, "_distance_profile", prof)
+    return prof
 
 
 def _integral_rows(measure: DiscreteMeasure) -> np.ndarray:
@@ -92,8 +115,13 @@ def _integral_rows(measure: DiscreteMeasure) -> np.ndarray:
     w = measure.weights
     if w.size == 1:
         return np.zeros(1)
-    cum = np.cumsum(w[prof.order], axis=1)
-    vals = (prof.seg * np.maximum(cum, 1e-300) ** -0.5).sum(axis=1)
+    vals = np.empty(w.size)
+    for rows in _row_blocks(w.size):
+        cum = np.cumsum(w[prof.order[rows]], axis=1)
+        np.maximum(cum, 1e-300, out=cum)
+        cum **= -0.5
+        cum *= prof.seg[rows]
+        vals[rows] = cum.sum(axis=1)
     vals[w == 0.0] = math.inf
     return vals
 

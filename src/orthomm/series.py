@@ -169,6 +169,10 @@ class IndexSet:
     arithmetic and were collapsed; mathematically the points are distinct
     (all a_n > 0) but for fast-decaying tails the partial sums fall below
     one ulp of each other.
+
+    The strong and weak functionals store the distance profile on the
+    instance the first time they run (``functionals._profile``), so the
+    profile is freed with the index set.
     """
 
     points: np.ndarray
