@@ -528,12 +528,15 @@ def cmd_pipeline(args) -> int:
 # parser
 
 
-def _workers(text: str) -> int:
-    """``--workers N``: any N >= 1 is accepted and nothing reads it."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("workers must be at least 1")
-    return n
+def _at_least(minimum: int, name: str):
+    """Argparse type: an integer of at least ``minimum``, else a usage error."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {minimum}")
+        return n
+    parse.__name__ = "int"  # argparse reports a malformed value as "invalid int value"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -553,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for reproducible bytes")
-    common.add_argument("--workers", type=_workers, default=1,
+    common.add_argument("--workers", type=_at_least(1, "workers"), default=1,
                         help="accepted for compatibility; results never "
                              "depend on it")
 
@@ -567,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "file path")
 
     mc_opt = argparse.ArgumentParser(add_help=False)
-    mc_opt.add_argument("--paths", type=int, default=100000)
+    mc_opt.add_argument("--paths", type=_at_least(2, "paths"), default=100000)
     mc_opt.add_argument("--seed", type=int, default=None)
 
     optim_opt = argparse.ArgumentParser(add_help=False)
@@ -614,7 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 optim_opt],
                        help="named property suites")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--random-measures", type=int, default=100)
+    p.add_argument("--random-measures", type=_at_least(1, "random measures"),
+                   default=100)
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
                    default="gaussian")
     p.add_argument("--base-depth", type=int, default=3)

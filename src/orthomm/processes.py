@@ -5,11 +5,11 @@ sums of an orthogonal series directly and checks the chaining upper
 bound against the strong functional.  The reverse direction assembles an
 adversarial process level by level on the quad-adic partition: at each
 cell a random child selector and four sign increments build a pinned
-skeleton, the walk recurses only into the selected child (rescaled by
-the inverse root of its selection probability), and a Brownian bridge
-fills in below the base depth.  Adding one independent linear Gaussian
-term turns the bridge-type increments |s-t|(1 - |s-t|) into orthogonal
-increments |s-t| exactly.
+skeleton, all paths descend one level at a time, each into its selected
+child (rescaled by the inverse root of its selection probability), and
+a Brownian bridge fills in below the base depth.  Adding one independent
+linear Gaussian term turns the bridge-type increments |s-t|(1 - |s-t|)
+into orthogonal increments |s-t| exactly.
 
 Every sampler reads its variates from one Philox stream per (seed, kind,
 slot), and path i reads element i of each slot's stream.  Path i
@@ -110,9 +110,10 @@ class MCEstimate:
     def from_samples(cls, samples: np.ndarray, seed: int) -> MCEstimate:
         samples = np.asarray(samples, dtype=float)
         n = int(samples.size)
-        mean = float(samples.mean())
-        stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return cls(mean=mean, stderr=stderr, paths=n, seed=seed)
+        if n < 2:
+            raise ValueError("a Monte Carlo estimate needs at least two samples")
+        return cls(mean=float(samples.mean()),
+                   stderr=float(samples.std(ddof=1) / math.sqrt(n)), paths=n, seed=seed)
 
     def to_json(self) -> dict:
         return {"mean": self.mean, "stderr": self.stderr,
@@ -267,8 +268,9 @@ class BridgeLeaf:
     """Brownian bridge inside one base-depth cell.
 
     Points sitting on the cell's left endpoint are pinned to zero; the
-    remaining points get a centered Gaussian vector with covariance
-    min(s', t') - 4**level * s' * t' in coordinates local to the cell.
+    remaining points, a contiguous run of columns after them, get a
+    centered Gaussian vector with covariance min(s', t') - 4**level *
+    s' * t' in coordinates local to the cell.
     """
 
     level: int
@@ -349,15 +351,14 @@ class ProcessSampler:
         return self._evaluate(U, Z)
 
 
-class _Node:
-    __slots__ = ("level", "skeleton", "segments", "children", "bridge")
-
-    def __init__(self, level, skeleton, segments, children, bridge):
-        self.level = level
-        self.skeleton = skeleton
-        self.segments = segments
-        self.children = children
-        self.bridge = bridge
+def _row_groups(row: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
+    """(row, paths) for each distinct row, the paths in increasing order;
+    a slice when all share one row, so that reads are views and adds in place."""
+    if (row == row[0]).all():
+        return [(int(row[0]), slice(None))]
+    order = np.argsort(row, kind="stable")
+    cuts = np.flatnonzero(np.diff(row[order])) + 1
+    return list(zip(row[order[np.r_[0, cuts]]].tolist(), np.split(order, cuts)))
 
 
 class AdversarialSampler(ProcessSampler):
@@ -365,11 +366,16 @@ class AdversarialSampler(ProcessSampler):
 
     On the four children of each traversed cell at level k the process
     adds 2**-k * S_j plus the linear interpolation toward S_{j+1}, then
-    recurses only into the selected child j with multiplier p_j**-1/2.
+    moves each path into its selected child j with multiplier p_j**-1/2.
     Below ``base_depth`` each cell's remaining points follow an
     independent Brownian bridge.  When the measure is strictly positive
     on all points, E (Y(s) - Y(t))**2 = |s - t| * (1 - |s - t|); cells
     of zero mass are never selected and keep only their skeleton parts.
+
+    The construction lives on the partition's level-k cell rows:
+    ``_levels[k]`` maps each row that paths reach to its skeleton law and
+    the (slot, start, stop, left) segments of its nonempty children, next
+    to a (cells, 4) child-row array; ``_leaves`` maps rows to bridges.
     """
 
     def __init__(self, tree: PartitionTree, measure: DiscreteMeasure,
@@ -377,11 +383,9 @@ class AdversarialSampler(ProcessSampler):
         if base_depth < 0:
             raise ValueError("base depth must be nonnegative")
         self.tree = tree
-        self.measure = measure
         self.base_depth = int(base_depth)
-        self.index_set = tree.index_set
         self.points = tree.index_set.points
-        self._root, self.bridges = self._build(measure)
+        self._build(measure.weights)
         self.n_uniform_slots = 5 * self.base_depth
         self.n_normal_slots = max((b.dim for b in self.bridges), default=0)
 
@@ -389,70 +393,62 @@ class AdversarialSampler(ProcessSampler):
         d = abs(s - t)
         return d * (1.0 - d)
 
-    def _build(self, measure: DiscreteMeasure) -> tuple[_Node, tuple[BridgeLeaf, ...]]:
-        """Root node and bridge leaves, depth first with an explicit stack.
-
-        A stack entry is a cell (level, row, start, stop, key) with the
-        children list its node joins; siblings pop in slot order.
-        """
-        levels = [_level_masses(self.tree, measure.weights, k)
-                  for k in range(1, self.base_depth + 1)]
-        bridges: list[BridgeLeaf] = []
-        top: list = []
-        stack = [(0, 0, 0, self.points.size, 0, None, top)]
-        while stack:
-            level, row, start, stop, key, slot, out = stack.pop()
-            if level == self.base_depth:
-                bridge = _build_bridge(level, key, self.points, start, stop)
-                bridges.append(bridge)
-                node = _Node(level, None, (), [], bridge)
-            else:
-                starts, keys, masses, child_masses, good = levels[level]
-                lo, hi = np.searchsorted(starts, [start, stop])
-                # (slot, row, start, stop) of each nonempty child cell
-                kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
-                        for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
+    def _build(self, weights: np.ndarray) -> None:
+        """Tables of the rows paths reach, level by level; bridges in row order."""
+        size = self.points.size
+        starts, keys = self.tree.cell_arrays(0)
+        reached = [0]
+        self._levels = []
+        for k in range(1, self.base_depth + 1):
+            bounds = np.r_[starts, size]  # of the level-(k-1) cells
+            starts, keys, masses, child_masses, good = _level_masses(self.tree, weights, k)
+            stops = np.r_[starts[1:], size]
+            first = np.searchsorted(starts, bounds)  # each parent's first child row
+            slot = (keys % 4).astype(np.intp)
+            table = {}
+            for r in reached:
+                kids = range(first[r], first[r + 1])
                 skeleton = build_skeleton_variables(
-                    child_masses[row], {j for j, c, _, _ in kids if good[c]})
-                segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
-                                 for j, c, a, b in kids)
-                node = _Node(level, skeleton, segments, [], None)
-                stack.extend((level + 1, c, a, b, int(keys[c]), j, node.children)
-                             for j, c, a, b in reversed(kids) if masses[c] > 0.0)
-            out.append((slot, node))
-        return top[0][1], tuple(bridges)
+                    child_masses[r], {int(slot[c]) for c in kids if good[c]})
+                table[r] = (skeleton, tuple((int(slot[c]), int(starts[c]), int(stops[c]),
+                                             _left_endpoint(int(keys[c]), k)) for c in kids))
+            child = np.full((bounds.size - 1, 4), -1, dtype=np.intp)
+            parent = np.searchsorted(bounds, starts, side="right") - 1
+            child[parent, slot] = np.where(masses > 0.0, np.arange(starts.size), -1)
+            self._levels.append((table, child))
+            reached = np.flatnonzero(masses > 0.0).tolist()
+        stops = np.r_[starts[1:], size]
+        self._leaves = {r: _build_bridge(self.base_depth, int(keys[r]), self.points,
+                                         int(starts[r]), int(stops[r])) for r in reached}
+        self.bridges = tuple(self._leaves.values())
 
     def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Process values; every node adds to its paths before its children do."""
-        paths = U.shape[0]
-        vals = np.zeros((paths, self.points.size))
-        stack = [(self._root, np.arange(paths), np.ones(paths))]
-        while stack:
-            node, idx, mult = stack.pop()
-            if node.bridge is not None:
-                b = node.bridge
-                if b.dim:
-                    draws = Z[idx, :b.dim] @ b.chol.T
-                    vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
-                continue
-            k = node.level + 1
-            base = 5 * node.level
-            sk = node.skeleton
-            # u outlives s_skeleton's temporaries: freed first, it raised
-            # glibc's mmap threshold and peak RSS grew by 3.7 MB at 100k paths
-            u = U[idx, base:base + 5]
-            tau, z = sk.from_uniforms(u)
-            S = s_skeleton(z)
-            down, up = 2.0 ** -k, 2.0 ** k
-            for j, start, stop, left in node.segments:
-                offs = (self.points[start:stop] - left)[None, :]
-                seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
-                vals[idx, start:stop] += mult[:, None] * seg
-            for j, child in node.children:
-                sel = tau == j
-                if sel.any():
-                    stack.append((child, idx[sel],
-                                  mult[sel] / math.sqrt(float(sk.probs[j]))))
+        """Process values, one level at a time over all paths.
+
+        Each path carries its cell row and multiplier down the levels; the
+        paths of a row are taken together, in increasing order.
+        """
+        vals = np.zeros((U.shape[0], self.points.size))
+        row = np.zeros(U.shape[0], dtype=np.intp)
+        mult = np.ones(U.shape[0])
+        for level, (table, child) in enumerate(self._levels):
+            down, up = 2.0 ** -(level + 1), 2.0 ** (level + 1)
+            for r, idx in _row_groups(row):
+                sk, segments = table[r]
+                m = mult[idx]
+                tau, z = sk.from_uniforms(U[idx, 5 * level:5 * level + 5])
+                S = s_skeleton(z)
+                for j, start, stop, left in segments:
+                    offs = (self.points[start:stop] - left)[None, :]
+                    seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
+                    vals[idx, start:stop] += m[:, None] * seg
+                row[idx] = child[r, tau]
+                mult[idx] = m / np.sqrt(sk.probs[tau])
+        for r, idx in _row_groups(row):
+            b = self._leaves[r]
+            if b.dim:
+                draws = Z[idx, :b.dim] @ b.chol.T
+                vals[idx, b.positions[0]:b.positions[-1] + 1] += mult[idx][:, None] * draws
         return vals
 
 

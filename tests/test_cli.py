@@ -374,6 +374,33 @@ def test_workers_below_one_is_usage_error(command, workers, capsys):
     assert "workers must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "optimize", "simulate",
+                                     "adversarial", "verify", "pipeline"])
+@pytest.mark.parametrize("paths", ["0", "1"])
+def test_paths_below_two_is_usage_error(command, paths, capsys):
+    # one path has no standard error, so no check may rest on it
+    argv = [command, "--paths", paths, "--seed", "1"]
+    if command == "verify":
+        argv += ["--suite", "chaining"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "paths must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_random_measures_below_one_is_usage_error(count, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "inequalities", "--seed", "1",
+                  "--random-measures", count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "random measures must be at least 1" in captured.err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

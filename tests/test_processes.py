@@ -523,6 +523,12 @@ def test_mc_estimate_from_samples():
     assert est.paths == 4
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_mc_estimate_needs_two_samples(n):
+    with pytest.raises(ValueError, match="at least two samples"):
+        om.MCEstimate.from_samples(np.ones(n), seed=1)
+
+
 def test_simulate_sup_square_two_sign_example():
     seq = om.CoefficientSequence.explicit([0.5, 0.5])
     est = om.simulate_sup_square(seq, om.OrthonormalGenerator("rademacher"),

@@ -1,11 +1,15 @@
-"""The array partition tree and its good-index filter against per-point references.
+"""The array partition tree, its good-index filter and the adversarial
+sampler against per-point and depth-first references.
 
 The references below build every level cell by cell from the exact
-integer cell index of each point, and classify good children one parent
-at a time with the scalar balance rule.  The library computes the same
+integer cell index of each point, classify good children one parent at a
+time with the scalar balance rule, and build and run the adversarial
+sampler as a depth-first node tree.  The library computes the same
 objects from per-level arrays.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
+from orthomm.functionals import _level_masses
+from orthomm.processes import (
+    _build_bridge,
+    _draw_path_matrices,
+    _left_endpoint,
+    s_skeleton,
+)
 from orthomm.series import _MAX_LEVEL, _cell_index
 
 
@@ -169,6 +180,118 @@ def test_uniform_good_counts_match_integer_counts(seq):
         exact_uniform_good_counts(tree, max_level)
 
 
+class RefNode:
+    """One cell of the depth-first sampler: a skeleton with segments, or a bridge."""
+
+    def __init__(self, level, skeleton, segments, bridge):
+        self.level = level
+        self.skeleton = skeleton
+        self.segments = segments
+        self.children = []
+        self.bridge = bridge
+
+
+def ref_sampler_build(tree: om.PartitionTree, weights: np.ndarray,
+                      base_depth: int) -> tuple[RefNode, tuple]:
+    """Root node and bridge leaves, depth first with an explicit stack.
+
+    A stack entry is a cell (level, row, start, stop, key) with the
+    children list its node joins; siblings pop in slot order.
+    """
+    points = tree.points
+    levels = [_level_masses(tree, weights, k) for k in range(1, base_depth + 1)]
+    bridges = []
+    top = []
+    stack = [(0, 0, 0, points.size, 0, None, top)]
+    while stack:
+        level, row, start, stop, key, slot, out = stack.pop()
+        if level == base_depth:
+            bridge = _build_bridge(level, key, points, start, stop)
+            bridges.append(bridge)
+            node = RefNode(level, None, (), bridge)
+        else:
+            starts, keys, masses, child_masses, good = levels[level]
+            lo, hi = np.searchsorted(starts, [start, stop])
+            # (slot, row, start, stop) of each nonempty child cell
+            kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
+                    for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
+            skeleton = om.build_skeleton_variables(
+                child_masses[row], {j for j, c, _, _ in kids if good[c]})
+            segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
+                             for j, c, a, b in kids)
+            node = RefNode(level, skeleton, segments, None)
+            stack.extend((level + 1, c, a, b, int(keys[c]), j, node.children)
+                         for j, c, a, b in reversed(kids) if masses[c] > 0.0)
+        out.append((slot, node))
+    return top[0][1], tuple(bridges)
+
+
+def ref_sampler_evaluate(root: RefNode, points: np.ndarray, U: np.ndarray,
+                         Z: np.ndarray) -> np.ndarray:
+    """Process values; every node adds to its paths before its children do."""
+    paths = U.shape[0]
+    vals = np.zeros((paths, points.size))
+    stack = [(root, np.arange(paths), np.ones(paths))]
+    while stack:
+        node, idx, mult = stack.pop()
+        if node.bridge is not None:
+            b = node.bridge
+            if b.dim:
+                draws = Z[idx, :b.dim] @ b.chol.T
+                vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
+            continue
+        k = node.level + 1
+        base = 5 * node.level
+        sk = node.skeleton
+        tau, z = sk.from_uniforms(U[idx, base:base + 5])
+        S = s_skeleton(z)
+        down, up = 2.0 ** -k, 2.0 ** k
+        for j, start, stop, left in node.segments:
+            offs = (points[start:stop] - left)[None, :]
+            seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
+            vals[idx, start:stop] += mult[:, None] * seg
+        for j, child in node.children:
+            sel = tau == j
+            if sel.any():
+                stack.append((child, idx[sel],
+                              mult[sel] / math.sqrt(float(sk.probs[j]))))
+    return vals
+
+
+def sparse_dirichlet(index: om.IndexSet, seed: int) -> om.DiscreteMeasure:
+    w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.5))
+    w[1::7] = 0.0  # every 7th weight, keeping the first so some mass is left
+    return om.DiscreteMeasure.explicit(index, w)
+
+
+def assert_sampler_matches_reference(tree: om.PartitionTree, m: om.DiscreteMeasure,
+                                     base_depth: int, paths: int, seed: int) -> None:
+    adv = om.AdversarialSampler(tree, m, base_depth)
+    root, bridges = ref_sampler_build(tree, m.weights, base_depth)
+    assert len(adv.bridges) == len(bridges)
+    U, Z = _draw_path_matrices(seed, paths, adv.n_uniform_slots, adv.n_normal_slots)
+    assert adv._evaluate(U, Z).tobytes() == \
+        ref_sampler_evaluate(root, tree.points, U, Z).tobytes()
+
+
+@given(index_sets(), st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=25, deadline=None)
+def test_sampler_values_match_depth_first_reference(index, seed, data):
+    tree = om.build_partition(index)
+    m = sparse_dirichlet(index, seed)
+    for base_depth in {0, data.draw(st.integers(0, tree.depth))}:
+        assert_sampler_matches_reference(tree, m, base_depth, 300, seed % 1000)
+
+
+@pytest.mark.parametrize("base_depth", [512, 537])
+def test_sampler_values_match_reference_at_subnormal_depths(base_depth):
+    index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
+    tree = om.build_partition(index)
+    for w in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]):
+        m = om.DiscreteMeasure.explicit(index, np.asarray(w))
+        assert_sampler_matches_reference(tree, m, base_depth, 200, 3)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_sampler_nodes_match_per_parent_reference(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
@@ -180,23 +303,26 @@ def test_sampler_nodes_match_per_parent_reference(seed):
     points = tree.points
     bridges = []
 
-    def walk(node, cell, level):
-        if node.bridge is not None:
-            assert (node.bridge.cell_index, level) == (cell[0], 4)
-            bridges.append(node.bridge)
+    def walk(row, cell, level):
+        if level == 4:
+            bridge = adv._leaves[row]
+            assert (bridge.cell_index, bridge.level) == (cell[0], 4)
+            bridges.append(bridge)
             return
+        table, child = adv._levels[level]
+        skeleton, segments = table[row]
         children = ref_children(points, cell, level + 1)
         masses = ref_masses(m.weights, children)
         flags = om.good_children(masses)
         expected = om.build_skeleton_variables(masses, {j for j in range(4) if flags[j]})
-        assert node.skeleton.to_json() == expected.to_json()
-        assert [s[:3] for s in node.segments] == \
+        assert skeleton.to_json() == expected.to_json()
+        assert [s[:3] for s in segments] == \
             [(j, lo, hi) for j, (_, lo, hi) in enumerate(children) if hi > lo]
         live = [(j, c) for j, c in enumerate(children) if masses[j] > 0.0]
-        assert [j for j, _ in node.children] == [j for j, _ in live]
-        for (_, child), (_, c) in zip(node.children, live):
-            walk(child, c, level + 1)
+        assert [j for j in range(4) if child[row, j] >= 0] == [j for j, _ in live]
+        for j, c in live:
+            walk(child[row, j], c, level + 1)
 
-    walk(adv._root, (0, 0, len(points)), 0)
+    walk(0, (0, 0, len(points)), 0)
     assert adv.bridges == tuple(bridges)
     assert adv.n_normal_slots == max(b.dim for b in bridges)
