@@ -5,33 +5,25 @@ pipeline.  JSON is the canonical output (schema version "v1", keys
 sorted, optional timestamp suppressed by --no-timestamp so identical
 configs and seeds give byte-identical reports); CSV is available only
 for the per-level table of evaluate.  Exit codes: 0 success, 1 a
-verification check failed, 2 usage or input error.
+verification check failed, 2 usage or input error.  The suites of
+verify live in ``orthomm.checks``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
-import itertools
 import json
 import math
 import sys
 import warnings
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__
-from .functionals import (
-    classify_good_indices,
-    dyadic_bound,
-    evaluate_functionals,
-    filtered_bound,
-    good_children,
-    strong_functional,
-    weak_functional,
-)
+from . import __version__, checks
+from .functionals import evaluate_functionals
 from .optimize import (
     OptimizerOptions,
     duality_gap_report,
@@ -39,22 +31,14 @@ from .optimize import (
     minimize_strong,
 )
 from .processes import (
-    AdversarialSampler,
-    OrthogonalLift,
     OrthonormalGenerator,
-    build_skeleton_variables,
     lower_bound_report,
-    s_skeleton,
-    second_moment_oracle,
     simulate_sup_square,
     verify_chaining_bound,
 )
 from .series import (
     CoefficientSequence,
     DiscreteMeasure,
-    DomainError,
-    InvalidCoefficientError,
-    InvalidMeasureError,
     build_index_set,
     build_partition,
     make_measure,
@@ -62,8 +46,6 @@ from .series import (
 
 SCHEMA = "v1"
 DEFAULT_COEFFS = '{"kind": "power", "exponent": 1.0, "count": 64}'
-SUITES = ("skeleton", "lemma4", "bridge", "chaining", "lowerbound",
-          "inequalities", "all")
 
 
 class CLIError(Exception):
@@ -93,21 +75,14 @@ def _load_json_arg(text: str, what: str):
 
 def _parse_coeffs(arg: str) -> CoefficientSequence:
     obj = _load_json_arg(arg, "coefficients")
-    try:
-        if isinstance(obj, list):
-            return CoefficientSequence.explicit(obj)
-        return CoefficientSequence.from_json(obj)
-    except InvalidCoefficientError as exc:
-        raise CLIError(str(exc))
+    if isinstance(obj, list):
+        return CoefficientSequence.explicit(obj)
+    return CoefficientSequence.from_json(obj)
 
 
-def _optimizer_options(args) -> OptimizerOptions:
-    try:
-        return OptimizerOptions(max_iters=args.max_iters, tol=args.tol,
-                                step0=args.step0, restarts=args.restarts,
-                                seed=args.seed)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+def _optimizer_options(args, **extra) -> OptimizerOptions:
+    return OptimizerOptions(max_iters=args.max_iters, tol=args.tol,
+                            step0=args.step0, **extra)
 
 
 def _parse_measure(arg: str, index_set, args) -> DiscreteMeasure:
@@ -115,21 +90,24 @@ def _parse_measure(arg: str, index_set, args) -> DiscreteMeasure:
         return DiscreteMeasure.uniform(index_set)
     if arg == "optimize":
         return minimize_strong(index_set, _optimizer_options(args)).measure
-    obj = _load_json_arg(arg, "measure")
-    try:
-        return make_measure(index_set, obj)
-    except InvalidMeasureError as exc:
-        raise CLIError(str(exc))
+    return make_measure(index_set, _load_json_arg(arg, "measure"))
+
+
+@contextlib.contextmanager
+def _noting_warnings(notes: list[str]):
+    """Append the message of every warning the block raises to ``notes``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    notes += [str(w.message) for w in caught]
 
 
 def _build_objects(args):
     """Coefficients, index set, partition, plus collected warnings."""
     seq = _parse_coeffs(args.coeffs)
     notes: list[str] = []
-    with warnings.catch_warnings(record=True) as wl:
-        warnings.simplefilter("always")
+    with _noting_warnings(notes):
         index_set = build_index_set(seq)
-    notes += [str(w.message) for w in wl]
     tail = seq.tail_mass()
     if tail is not None and math.isinf(tail):
         notes.append("square sum of the full coefficient family diverges; "
@@ -183,176 +161,6 @@ def _emit(args, command: str, config: dict, report: dict,
 
 
 # ---------------------------------------------------------------------------
-# verification suites (importable; each returns {"suite", "checks", "passed"})
-
-
-def suite_skeleton() -> dict:
-    """Exhaustive sign enumeration of E|S_l - S_m|^2 = |l-m|(1 - |l-m|/4)."""
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
-    S = s_skeleton(signs)
-    checks = []
-    for l in range(5):
-        for m in range(5):
-            measured = float(((S[:, l] - S[:, m]) ** 2).mean())
-            d = abs(l - m)
-            expected = d * (1.0 - d / 4.0)
-            checks.append({
-                "name": f"skeleton_{l}_{m}",
-                "measured": measured,
-                "expected": expected,
-                "tol": 1e-12,
-                "ok": bool(abs(measured - expected) <= 1e-12),
-            })
-    return {"suite": "skeleton", "checks": checks,
-            "passed": all(c["ok"] for c in checks)}
-
-
-def suite_lemma4(seed: int, instances: int = 50) -> dict:
-    """Single-level oracle against d(1 - 4**(k-1) d) on random instances."""
-    rng = np.random.default_rng(seed)
-    checks = []
-    for i in range(instances):
-        level = int(rng.integers(1, 5))
-        parent = int(rng.integers(0, 4 ** (level - 1)))
-        masses = rng.dirichlet(np.ones(4))
-        flags = good_children(masses)
-        sv = build_skeleton_variables(masses, {j for j in range(4) if flags[j]})
-        width = 4.0 ** (-(level - 1))
-        left = parent * width
-        s, t = (left + width * rng.random(2)).tolist()
-        measured = second_moment_oracle(sv, level, parent, s, t)
-        d = abs(s - t)
-        expected = d * (1.0 - 4.0 ** (level - 1) * d)
-        checks.append({
-            "name": f"one_level_{i}",
-            "level": level,
-            "measured": measured,
-            "expected": expected,
-            "tol": 1e-12,
-            "ok": bool(abs(measured - expected) <= 1e-12),
-        })
-    return {"suite": "lemma4", "checks": checks,
-            "passed": all(c["ok"] for c in checks)}
-
-
-def suite_bridge(tree, measure, paths: int, seed: int, pairs: int = 10) -> dict:
-    """Bridge factorization exactness and MC increment second moments."""
-    points = tree.index_set.points
-    if points.size < 2:
-        return {"suite": "bridge", "checks": [], "passed": True}
-    base = min(2, tree.depth)
-    adv = AdversarialSampler(tree, measure, base)
-    fact_err = 0.0
-    for bridge in adv.bridges:
-        if bridge.dim:
-            rebuilt = bridge.chol @ bridge.chol.T
-            fact_err = max(fact_err, float(np.abs(rebuilt - bridge.covariance()).max()))
-    checks = [{
-        "name": "bridge_factorization",
-        "measured": fact_err,
-        "tol": 1e-8,
-        "ok": bool(fact_err <= 1e-8),
-    }]
-    lift = OrthogonalLift(adv)
-    rng = np.random.default_rng(seed)
-    idx_pairs = [sorted(rng.choice(points.size, size=2, replace=False).tolist())
-                 for _ in range(pairs)]
-    for label, sampler in (("bridge", adv), ("lift", lift)):
-        vals = sampler.sample(paths, seed)
-        for i, j in idx_pairs:
-            sq = (vals[:, i] - vals[:, j]) ** 2
-            measured = float(sq.mean())
-            expected = sampler.second_moment(points[i], points[j])
-            se = float(sq.std(ddof=1) / math.sqrt(paths))
-            checks.append({
-                "name": f"{label}_increment_{i}_{j}",
-                "measured": measured,
-                "expected": expected,
-                "stderr": se,
-                "ok": bool(abs(measured - expected) <= 3.0 * se + 1e-9),
-            })
-    return {"suite": "bridge", "checks": checks,
-            "passed": all(c["ok"] for c in checks)}
-
-
-def suite_chaining(seq, measure, generator, paths: int, seed: int) -> dict:
-    if seq is None or measure.index_set.points.size < 2:
-        return {"suite": "chaining", "checks": [], "passed": True}
-    rep = verify_chaining_bound(seq, measure, generator, paths, seed)
-    check = {
-        "name": "chaining_bound",
-        "measured": rep.estimate.mean,
-        "stderr": rep.estimate.stderr,
-        "bound": None if math.isinf(rep.bound) else rep.bound,
-        "skipped": rep.skipped,
-        "ok": bool(rep.passed),
-    }
-    return {"suite": "chaining", "checks": [check], "passed": check["ok"]}
-
-
-def suite_lowerbound(measure, tree, depth: int, paths: int, seed: int) -> dict:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rep = lower_bound_report(measure, tree, depth, paths, seed)
-    check = {
-        "name": "lower_bound",
-        "filtered_sum": rep.filtered_sum,
-        "threshold": rep.threshold,
-        "base_depth": rep.base_depth,
-        "ok": bool(rep.passed),
-    }
-    return {"suite": "lowerbound", "checks": [check], "passed": check["ok"]}
-
-
-def suite_inequalities(tree, random_measures: int, seed: int) -> dict:
-    """Functional inequalities on Dirichlet-random measures.
-
-    Checks weak <= strong, weak <= dyadic, weak <= filtered, and that the
-    filtered series terminates at separation_depth + 1.
-    """
-    index_set = tree.index_set
-    rng = np.random.default_rng(seed)
-    draw_seeds = rng.integers(0, 2 ** 31, size=random_measures)
-    names = ("weak_le_strong", "weak_le_dyadic", "weak_le_filtered")
-    violations = {n: 0 for n in names}
-    excess = {n: 0.0 for n in names}
-    last_level = tree.separation_depth + 1
-    max_tail_filtered = 0.0
-    for s in draw_seeds:
-        m = DiscreteMeasure.dirichlet_random(index_set, seed=int(s))
-        weak = weak_functional(m)
-        strong, _ = strong_functional(m)
-        bounds = {
-            "weak_le_strong": strong,
-            "weak_le_dyadic": dyadic_bound(m, tree),
-            "weak_le_filtered": filtered_bound(m, tree),
-        }
-        for n in names:
-            gap = weak - bounds[n]
-            excess[n] = max(excess[n], gap)
-            if gap > 1e-12:
-                violations[n] += 1
-        table = classify_good_indices(m, tree, max_level=last_level)
-        max_tail_filtered = max(max_tail_filtered,
-                                table.levels[-1].filtered_sum)
-    checks = [{
-        "name": n,
-        "draws": random_measures,
-        "violations": violations[n],
-        "max_excess": excess[n],
-        "ok": violations[n] == 0,
-    } for n in names]
-    checks.append({
-        "name": "filtered_terminates",
-        "level": last_level,
-        "max_filtered_sum": max_tail_filtered,
-        "ok": bool(max_tail_filtered == 0.0),
-    })
-    return {"suite": "inequalities", "checks": checks,
-            "passed": all(c["ok"] for c in checks)}
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -387,16 +195,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     seq, index_set, _, notes, _ = _build_objects(args)
-    opts = _optimizer_options(args)
-    try:
-        if args.objective == "strong":
-            report = minimize_strong(index_set, opts).to_json()
-        elif args.objective == "weak":
-            report = maximize_weak(index_set, opts).to_json()
-        else:
-            report = duality_gap_report(index_set, opts).to_json()
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    opts = _optimizer_options(args, restarts=args.restarts, seed=args.seed)
+    if args.objective == "strong":
+        report = minimize_strong(index_set, opts).to_json()
+    elif args.objective == "weak":
+        report = maximize_weak(index_set, opts).to_json()
+    else:
+        report = duality_gap_report(index_set, opts).to_json()
     report["warnings"] = notes
     config = {"coeffs": seq.to_json(), "objective": args.objective,
               "max_iters": opts.max_iters, "tol": opts.tol,
@@ -429,11 +234,9 @@ def cmd_adversarial(args) -> int:
     seed = _require_seed(args)
     seq, index_set, tree, notes, _ = _build_objects(args)
     measure = _parse_measure(args.measure, index_set, args)
-    with warnings.catch_warnings(record=True) as wl:
-        warnings.simplefilter("always")
+    with _noting_warnings(notes):
         rep = lower_bound_report(measure, tree, args.base_depth, args.paths,
                                  seed)
-    notes += [str(w.message) for w in wl]
     report = rep.to_json()
     report["warnings"] = notes
     config = {"coeffs": seq.to_json(), "measure": args.measure,
@@ -445,30 +248,26 @@ def cmd_adversarial(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "skeleton":
         _require_seed(args)
-    names = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    needs_objects = {"bridge", "chaining", "lowerbound", "inequalities"}
-    seq = index_set = tree = measure = None
-    if set(names) & needs_objects:
-        seq, index_set, tree, _, _ = _build_objects(args)
-        measure = _parse_measure(args.measure, index_set, args)
-    results = []
-    for name in names:
-        if name == "skeleton":
-            results.append(suite_skeleton())
-        elif name == "lemma4":
-            results.append(suite_lemma4(args.seed))
-        elif name == "bridge":
-            results.append(suite_bridge(tree, measure, args.paths, args.seed))
-        elif name == "chaining":
-            generator = OrthonormalGenerator(args.generator)
-            results.append(suite_chaining(seq, measure, generator, args.paths,
-                                          args.seed))
-        elif name == "lowerbound":
-            results.append(suite_lowerbound(measure, tree, args.base_depth,
-                                            args.paths, args.seed))
-        else:
-            results.append(suite_inequalities(tree, args.random_measures,
-                                              args.seed))
+    # Built on first use: skeleton and lemma4 read neither --coeffs nor
+    # --measure, so they run whatever those hold.
+    built = functools.cache(lambda: _build_objects(args))
+    measure = functools.cache(
+        lambda: _parse_measure(args.measure, built()[1], args))
+    suites = {
+        "skeleton": checks.suite_skeleton,
+        "lemma4": lambda: checks.suite_lemma4(args.seed),
+        "bridge": lambda: checks.suite_bridge(built()[2], measure(),
+                                              args.paths, args.seed),
+        "chaining": lambda: checks.suite_chaining(
+            built()[0], measure(), OrthonormalGenerator(args.generator),
+            args.paths, args.seed),
+        "lowerbound": lambda: checks.suite_lowerbound(
+            measure(), built()[2], args.base_depth, args.paths, args.seed),
+        "inequalities": lambda: checks.suite_inequalities(
+            built()[2], args.random_measures, args.seed),
+    }
+    names = checks.SUITES if args.suite == "all" else (args.suite,)
+    results = [suites[name]() for name in names]
     passed = all(r["passed"] for r in results)
     report = {"suites": results, "passed": passed}
     config = {"suite": args.suite, "coeffs": args.coeffs,
@@ -492,15 +291,10 @@ def cmd_pipeline(args) -> int:
         chain = verify_chaining_bound(seq, opt.measure, generator, args.paths,
                                       seed)
         stage = "lowerbound"
-        with warnings.catch_warnings(record=True) as wl:
-            warnings.simplefilter("always")
+        with _noting_warnings(notes):
             lower = lower_bound_report(opt.measure, tree,
                                        args.adversarial_depth, args.paths, seed)
-        notes += [str(w.message) for w in wl]
-    except CLIError as exc:
-        raise CLIError(f"{stage}: {exc}")
-    except (InvalidCoefficientError, InvalidMeasureError, DomainError,
-            ValueError) as exc:
+    except (CLIError, ValueError) as exc:
         raise CLIError(f"{stage}: {exc}")
     passed = chain.passed and lower.passed
     report = {
@@ -576,7 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
     optim_opt = argparse.ArgumentParser(add_help=False)
     optim_opt.add_argument("--max-iters", type=int, default=2000)
     optim_opt.add_argument("--tol", type=float, default=1e-8)
-    optim_opt.add_argument("--restarts", type=int, default=8)
     optim_opt.add_argument("--step0", type=float, default=1.0)
 
     p = sub.add_parser("build", parents=[common, depth_opt],
@@ -584,20 +377,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("evaluate",
-                       parents=[common, depth_opt, measure_opt, mc_opt,
-                                optim_opt],
+                       parents=[common, depth_opt, measure_opt, optim_opt],
                        help="functional values and per-level tables")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("optimize", parents=[common, mc_opt, optim_opt],
+    p = sub.add_parser("optimize", parents=[common, optim_opt],
                        help="optimize a functional over the simplex")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=8,
+                   help="maximize_weak starts, the uniform one included")
     p.add_argument("--objective", choices=("strong", "weak", "gap"),
                    default="strong")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate",
-                       parents=[common, depth_opt, measure_opt, mc_opt,
-                                optim_opt],
+                       parents=[common, measure_opt, mc_opt, optim_opt],
                        help="Monte Carlo supremum estimates and the "
                             "chaining bound")
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
@@ -616,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[common, depth_opt, measure_opt, mc_opt,
                                 optim_opt],
                        help="named property suites")
-    p.add_argument("--suite", choices=SUITES, required=True)
+    p.add_argument("--suite", choices=(*checks.SUITES, "all"), required=True)
     p.add_argument("--random-measures", type=_at_least(1, "random measures"),
                    default=100)
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
@@ -640,14 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidCoefficientError, InvalidMeasureError, DomainError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CLIError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -127,9 +127,8 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
             break
         w = np.maximum(w * vals ** opts.step0, _FLOOR)
         w = w / w.sum()
-    measure = DiscreteMeasure(index_set, best_w)
-    value, _ = strong_functional(measure)
-    return OptimizationResult(measure=measure, value=value, iterations=it,
+    return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),
+                              value=best_val, iterations=it,
                               converged=converged, trace=tuple(trace))
 
 

@@ -610,8 +610,6 @@ def simulate_sup_square(
     seed: int,
 ) -> MCEstimate:
     """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
-    if paths < 100:
-        raise ValueError("at least 100 paths required")
     a = _coefficient_sequence(coeffs).values
     phi = generator.sample_matrix(a.size, paths, seed)
     partial = np.cumsum(phi * a[None, :], axis=1)

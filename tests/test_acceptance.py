@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm import cli
+from orthomm import checks, cli
 from orthomm.optimize import strong_subgradient
 
 
@@ -109,7 +109,7 @@ def test_criterion_04_bridge_and_lift_moments():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 15))
     tree = om.build_partition(index)
     uniform = om.make_measure(index, "uniform")
-    suite = cli.suite_bridge(tree, uniform, paths=100_000, seed=7, pairs=20)
+    suite = checks.suite_bridge(tree, uniform, paths=100_000, seed=7, pairs=20)
     fact = next(c for c in suite["checks"] if c["name"] == "bridge_factorization")
     elapsed = time.perf_counter() - start
     _verdict(4, "bridge factorization and lift increment moments",

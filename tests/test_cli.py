@@ -5,12 +5,15 @@ import csv
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm import cli
+from orthomm import checks, cli
 
 
 def run(*argv: str, capsys) -> tuple[int, str, str]:
@@ -195,6 +198,13 @@ def test_simulate_two_points_passes(capsys):
     assert rep["chaining"]["skipped"] is False
 
 
+def test_simulate_runs_on_few_paths(capsys):
+    # the same two-path minimum as adversarial and pipeline
+    doc = run_json("simulate", "--no-timestamp", "--coeffs", "[0.5]",
+                   "--paths", "50", "--seed", "1", capsys=capsys)
+    assert doc["report"]["sup_square"]["paths"] == 50
+
+
 def test_simulate_requires_seed(capsys):
     rc, _, err = run("simulate", "--coeffs", "[0.5]", capsys=capsys)
     assert rc == 2
@@ -243,7 +253,7 @@ def test_verify_all_runs_every_suite(capsys):
                    "2000", "--random-measures", "10", "--coeffs", SMALL,
                    "--no-timestamp", capsys=capsys)
     names = [s["suite"] for s in doc["report"]["suites"]]
-    assert names == list(cli.SUITES[:-1])
+    assert names == list(checks.SUITES)
     assert doc["report"]["passed"] is True
 
 
@@ -264,10 +274,10 @@ def test_vacuous_suites_pass_on_singleton_sets():
                         raw_total=0.0, merged_duplicates=0)
     tree = om.build_partition(index)
     measure = om.make_measure(index, "uniform")
-    bridge = cli.suite_bridge(tree, measure, paths=200, seed=1)
+    bridge = checks.suite_bridge(tree, measure, paths=200, seed=1)
     assert bridge["passed"] is True and bridge["checks"] == []
-    chain = cli.suite_chaining(None, measure, om.OrthonormalGenerator(),
-                               paths=200, seed=1)
+    chain = checks.suite_chaining(None, measure, om.OrthonormalGenerator(),
+                                  paths=200, seed=1)
     assert chain["passed"] is True and chain["checks"] == []
 
 
@@ -374,8 +384,8 @@ def test_workers_below_one_is_usage_error(command, workers, capsys):
     assert "workers must be at least 1" in captured.err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "optimize", "simulate",
-                                     "adversarial", "verify", "pipeline"])
+@pytest.mark.parametrize("command", ["simulate", "adversarial", "verify",
+                                     "pipeline"])
 @pytest.mark.parametrize("paths", ["0", "1"])
 def test_paths_below_two_is_usage_error(command, paths, capsys):
     # one path has no standard error, so no check may rest on it
@@ -388,6 +398,44 @@ def test_paths_below_two_is_usage_error(command, paths, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "paths must be at least 2" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--paths", "2000"],
+    ["evaluate", "--seed", "1"],
+    ["evaluate", "--restarts", "4"],
+    ["optimize", "--paths", "2000"],
+    ["simulate", "--seed", "1", "--depth", "2"],
+    ["simulate", "--seed", "1", "--restarts", "4"],
+    ["adversarial", "--seed", "1", "--restarts", "4"],
+    ["verify", "--suite", "skeleton", "--restarts", "4"],
+    ["pipeline", "--seed", "1", "--restarts", "4"],
+])
+def test_options_nothing_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def _readme_commands() -> list[str]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("orthomm ")]
+
+
+def test_readme_shows_every_subcommand():
+    shown = {shlex.split(line)[1] for line in _readme_commands()}
+    assert shown == {"build", "evaluate", "optimize", "simulate",
+                     "adversarial", "verify", "pipeline"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_lines_parse(line):
+    cli._build_parser().parse_args(shlex.split(line)[1:])
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

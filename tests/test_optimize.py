@@ -85,6 +85,16 @@ def test_minimize_trace_is_monotone_best_so_far():
     assert res.value == pytest.approx(trace[-1], rel=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 64, 256])
+def test_minimize_value_is_the_strong_functional_of_its_measure(count):
+    # P = count + 1 points; the value is the best iterate's row maximum,
+    # which strong_functional recomputes bit for bit
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, count))
+    assert len(index) == count + 1
+    res = om.minimize_strong(index)
+    assert res.value == om.strong_functional(res.measure)[0]
+
+
 def test_minimize_result_json_shape():
     res = om.minimize_strong(explicit_set(0.5))
     doc = res.to_json()

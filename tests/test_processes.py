@@ -551,8 +551,8 @@ def test_simulate_sup_square_single_term_unit_mean(kind):
 
 
 def test_simulate_sup_square_needs_paths():
-    with pytest.raises(ValueError, match="at least 100 paths"):
-        om.simulate_sup_square([1.0], om.OrthonormalGenerator(), paths=50, seed=0)
+    with pytest.raises(ValueError, match="at least two samples"):
+        om.simulate_sup_square([1.0], om.OrthonormalGenerator(), paths=1, seed=0)
 
 
 def test_verify_chaining_bound_two_points():
