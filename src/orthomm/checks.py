@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from .functionals import (
+    _filtered_value,
     classify_good_indices,
     dyadic_bound,
-    filtered_bound,
     good_children,
     strong_functional,
     weak_functional,
@@ -98,13 +98,13 @@ def suite_lemma4(seed: int, instances: int = 50) -> dict:
     return _suite("lemma4", checks)
 
 
-def suite_bridge(tree, measure, paths: int, seed: int, pairs: int = 10) -> dict:
+def suite_bridge(measure, paths: int, seed: int, pairs: int = 10) -> dict:
     """Bridge factorization exactness and MC increment second moments."""
-    points = tree.index_set.points
+    index_set = measure.index_set
+    points = index_set.points
     if points.size < 2:
         return _suite("bridge", [])
-    base = min(2, tree.depth)
-    adv = AdversarialSampler(tree, measure, base)
+    adv = AdversarialSampler(measure, min(2, index_set.partition.separation_depth))
     fact_err = 0.0
     for bridge in adv.bridges:
         if bridge.dim:
@@ -147,11 +147,11 @@ def suite_chaining(seq, measure, generator, paths: int, seed: int) -> dict:
     }])
 
 
-def suite_lowerbound(measure, tree, depth: int, paths: int, seed: int) -> dict:
+def suite_lowerbound(measure, depth: int, paths: int, seed: int) -> dict:
     """The lower-bound budget of ``lower_bound_report``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rep = lower_bound_report(measure, tree, depth, paths, seed)
+        rep = lower_bound_report(measure, depth, paths, seed)
     return _suite("lowerbound", [{
         "name": "lower_bound",
         "filtered_sum": rep.filtered_sum,
@@ -161,35 +161,34 @@ def suite_lowerbound(measure, tree, depth: int, paths: int, seed: int) -> dict:
     }])
 
 
-def suite_inequalities(tree, random_measures: int, seed: int) -> dict:
+def suite_inequalities(index_set, random_measures: int, seed: int) -> dict:
     """Functional inequalities on Dirichlet-random measures.
 
     Checks weak <= strong, weak <= dyadic, weak <= filtered, and that the
     filtered series terminates at separation_depth + 1.
     """
-    index_set = tree.index_set
     rng = np.random.default_rng(seed)
     draw_seeds = rng.integers(0, 2 ** 31, size=random_measures)
     names = ("weak_le_strong", "weak_le_dyadic", "weak_le_filtered")
     violations = {n: 0 for n in names}
     excess = {n: 0.0 for n in names}
-    last_level = tree.separation_depth + 1
+    last_level = index_set.partition.separation_depth + 1
     max_tail_filtered = 0.0
     for s in draw_seeds:
         m = DiscreteMeasure.dirichlet_random(index_set, seed=int(s))
         weak = weak_functional(m)
         strong, _ = strong_functional(m)
+        table = classify_good_indices(m, max_level=last_level)
         bounds = {
             "weak_le_strong": strong,
-            "weak_le_dyadic": dyadic_bound(m, tree),
-            "weak_le_filtered": filtered_bound(m, tree),
+            "weak_le_dyadic": dyadic_bound(m),
+            "weak_le_filtered": _filtered_value(table),
         }
         for n in names:
             gap = weak - bounds[n]
             excess[n] = max(excess[n], gap)
             if gap > 1e-12:
                 violations[n] += 1
-        table = classify_good_indices(m, tree, max_level=last_level)
         max_tail_filtered = max(max_tail_filtered,
                                 table.levels[-1].filtered_sum)
     checks = [{

@@ -40,7 +40,6 @@ from .series import (
     CoefficientSequence,
     DiscreteMeasure,
     build_index_set,
-    build_partition,
     make_measure,
 )
 
@@ -103,7 +102,7 @@ def _noting_warnings(notes: list[str]):
 
 
 def _build_objects(args):
-    """Coefficients, index set, partition, plus collected warnings."""
+    """Coefficients, index set, collected warnings and the tail mass."""
     seq = _parse_coeffs(args.coeffs)
     notes: list[str] = []
     with _noting_warnings(notes):
@@ -112,16 +111,7 @@ def _build_objects(args):
     if tail is not None and math.isinf(tail):
         notes.append("square sum of the full coefficient family diverges; "
                      "truncated tail mass is infinite")
-    depth = getattr(args, "depth", "auto")
-    if depth != "auto":
-        try:
-            depth = int(depth)
-        except (TypeError, ValueError):
-            raise CLIError("depth must be an integer or 'auto'")
-        if depth < 0:
-            raise CLIError("depth must be nonnegative")
-    tree = build_partition(index_set, max_depth=depth)
-    return seq, index_set, tree, notes, tail
+    return seq, index_set, notes, tail
 
 
 def _require_seed(args) -> int:
@@ -165,36 +155,35 @@ def _emit(args, command: str, config: dict, report: dict,
 
 
 def cmd_build(args) -> int:
-    seq, index_set, tree, notes, tail = _build_objects(args)
+    seq, index_set, notes, tail = _build_objects(args)
+    tree = index_set.partition
     report = {
         "index_set": index_set.to_json(),
         "partition": {
-            "depth": tree.depth,
             "separation_depth": tree.separation_depth,
             "cells_per_level": [len(starts) for starts in tree.levels],
         },
         "tail_mass": None if tail is None or math.isinf(tail) else tail,
         "warnings": notes,
     }
-    config = {"coeffs": seq.to_json(), "depth": args.depth}
+    config = {"coeffs": seq.to_json()}
     _emit(args, "build", config, report)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    seq, index_set, tree, notes, _ = _build_objects(args)
+    seq, index_set, notes, _ = _build_objects(args)
     measure = _parse_measure(args.measure, index_set, args)
-    rep = evaluate_functionals(measure, tree, seq)
+    rep = evaluate_functionals(measure, seq)
     report = rep.to_json()
     report["warnings"] = notes
-    config = {"coeffs": seq.to_json(), "depth": args.depth,
-              "measure": args.measure}
+    config = {"coeffs": seq.to_json(), "measure": args.measure}
     _emit(args, "evaluate", config, report, csv_rows=list(rep.per_level))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    seq, index_set, _, notes, _ = _build_objects(args)
+    seq, index_set, notes, _ = _build_objects(args)
     opts = _optimizer_options(args, restarts=args.restarts, seed=args.seed)
     if args.objective == "strong":
         report = minimize_strong(index_set, opts).to_json()
@@ -212,7 +201,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    seq, index_set, tree, notes, _ = _build_objects(args)
+    seq, index_set, notes, _ = _build_objects(args)
     measure = _parse_measure(args.measure, index_set, args)
     generator = OrthonormalGenerator(args.generator)
     sup = simulate_sup_square(seq, generator, args.paths, seed)
@@ -232,11 +221,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_adversarial(args) -> int:
     seed = _require_seed(args)
-    seq, index_set, tree, notes, _ = _build_objects(args)
+    seq, index_set, notes, _ = _build_objects(args)
     measure = _parse_measure(args.measure, index_set, args)
     with _noting_warnings(notes):
-        rep = lower_bound_report(measure, tree, args.base_depth, args.paths,
-                                 seed)
+        rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
     report = rep.to_json()
     report["warnings"] = notes
     config = {"coeffs": seq.to_json(), "measure": args.measure,
@@ -256,15 +244,15 @@ def cmd_verify(args) -> int:
     suites = {
         "skeleton": checks.suite_skeleton,
         "lemma4": lambda: checks.suite_lemma4(args.seed),
-        "bridge": lambda: checks.suite_bridge(built()[2], measure(),
-                                              args.paths, args.seed),
+        "bridge": lambda: checks.suite_bridge(measure(), args.paths,
+                                              args.seed),
         "chaining": lambda: checks.suite_chaining(
             built()[0], measure(), OrthonormalGenerator(args.generator),
             args.paths, args.seed),
         "lowerbound": lambda: checks.suite_lowerbound(
-            measure(), built()[2], args.base_depth, args.paths, args.seed),
+            measure(), args.base_depth, args.paths, args.seed),
         "inequalities": lambda: checks.suite_inequalities(
-            built()[2], args.random_measures, args.seed),
+            built()[1], args.random_measures, args.seed),
     }
     names = checks.SUITES if args.suite == "all" else (args.suite,)
     results = [suites[name]() for name in names]
@@ -281,27 +269,26 @@ def cmd_pipeline(args) -> int:
     seed = _require_seed(args)
     stage = "build"
     try:
-        seq, index_set, tree, notes, tail = _build_objects(args)
+        seq, index_set, notes, tail = _build_objects(args)
         stage = "optimize"
         opt = minimize_strong(index_set, _optimizer_options(args))
         stage = "evaluate"
-        fr = evaluate_functionals(opt.measure, tree, seq)
+        fr = evaluate_functionals(opt.measure, seq)
         stage = "chaining"
         generator = OrthonormalGenerator(args.generator)
         chain = verify_chaining_bound(seq, opt.measure, generator, args.paths,
                                       seed)
         stage = "lowerbound"
         with _noting_warnings(notes):
-            lower = lower_bound_report(opt.measure, tree,
-                                       args.adversarial_depth, args.paths, seed)
+            lower = lower_bound_report(opt.measure, args.adversarial_depth,
+                                       args.paths, seed)
     except (CLIError, ValueError) as exc:
         raise CLIError(f"{stage}: {exc}")
     passed = chain.passed and lower.passed
     report = {
         "build": {
             "index_set": index_set.to_json(),
-            "separation_depth": tree.separation_depth,
-            "depth": tree.depth,
+            "separation_depth": index_set.partition.separation_depth,
             "tail_mass": None if tail is None or math.isinf(tail) else tail,
         },
         "optimize": opt.to_json(),
@@ -311,7 +298,7 @@ def cmd_pipeline(args) -> int:
         "warnings": notes,
         "passed": passed,
     }
-    config = {"coeffs": seq.to_json(), "depth": args.depth,
+    config = {"coeffs": seq.to_json(),
               "generator": generator.kind, "paths": args.paths, "seed": seed,
               "adversarial_depth": args.adversarial_depth}
     _emit(args, "pipeline", config, report)
@@ -354,10 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; results never "
                              "depend on it")
 
-    depth_opt = argparse.ArgumentParser(add_help=False)
-    depth_opt.add_argument("--depth", default="auto",
-                           help="partition depth or 'auto'")
-
     measure_opt = argparse.ArgumentParser(add_help=False)
     measure_opt.add_argument("--measure", default="uniform",
                              help="'uniform', 'optimize', inline JSON, or a "
@@ -372,12 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
     optim_opt.add_argument("--tol", type=float, default=1e-8)
     optim_opt.add_argument("--step0", type=float, default=1.0)
 
-    p = sub.add_parser("build", parents=[common, depth_opt],
+    p = sub.add_parser("build", parents=[common],
                        help="index set and partition summary")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("evaluate",
-                       parents=[common, depth_opt, measure_opt, optim_opt],
+                       parents=[common, measure_opt, optim_opt],
                        help="functional values and per-level tables")
     p.set_defaults(func=cmd_evaluate)
 
@@ -407,8 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adversarial)
 
     p = sub.add_parser("verify",
-                       parents=[common, depth_opt, measure_opt, mc_opt,
-                                optim_opt],
+                       parents=[common, measure_opt, mc_opt, optim_opt],
                        help="named property suites")
     p.add_argument("--suite", choices=(*checks.SUITES, "all"), required=True)
     p.add_argument("--random-measures", type=_at_least(1, "random measures"),
@@ -419,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pipeline",
-                       parents=[common, depth_opt, mc_opt, optim_opt],
+                       parents=[common, mc_opt, optim_opt],
                        help="build, optimize, evaluate, and verify in one run")
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
                    default="gaussian")

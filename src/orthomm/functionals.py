@@ -175,7 +175,7 @@ def weak_functional(measure: DiscreteMeasure) -> float:
     return float(np.dot(w[live], vals[live]))
 
 
-def dyadic_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
+def dyadic_bound(measure: DiscreteMeasure) -> float:
     """Full dyadic upper bound sum_k 2^-k sum_i sqrt(m(cell_i at level k)).
 
     Levels past the separation depth K contribute 2^-k * sum_t sqrt(w_t)
@@ -186,6 +186,7 @@ def dyadic_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     weak functional, not the strong one: the point mass at 0 on {0, 1/4}
     has dyadic bound 1 and strong functional +inf.
     """
+    tree = measure.index_set.partition
     sep = tree.separation_depth
     w = measure.weights
     total = 0.0
@@ -196,12 +197,13 @@ def dyadic_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     return total
 
 
-def _dyadic_rows(measure: DiscreteMeasure, tree: PartitionTree) -> np.ndarray:
+def _dyadic_rows(measure: DiscreteMeasure) -> np.ndarray:
     """g(t) = sum_{k=1}^K 2^-k m(A_k(t))^(-1/2) + 2^-K m({t})^(-1/2) for every t.
 
     A_k(t) is the level-k cell holding t and K the separation depth;
     +inf where the point carries no mass.
     """
+    tree = measure.index_set.partition
     sep = tree.separation_depth
     w = measure.weights
     rows = np.zeros_like(w)
@@ -214,7 +216,7 @@ def _dyadic_rows(measure: DiscreteMeasure, tree: PartitionTree) -> np.ndarray:
     return rows
 
 
-def dyadic_sup_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
+def dyadic_sup_bound(measure: DiscreteMeasure) -> float:
     """Pointwise dyadic upper bound sup_t g(t) on the strong functional.
 
     g(t) = sum_{k=1}^K 2^-k m(A_k(t))^(-1/2) + 2^-K m({t})^(-1/2), where
@@ -236,7 +238,7 @@ def dyadic_sup_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
     partition bound of Talagrand, "Upper and Lower Bounds for Stochastic
     Processes", ch. 2.
     """
-    return float(_dyadic_rows(measure, tree).max())
+    return float(_dyadic_rows(measure).max())
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,6 @@ def _level_masses(tree: PartitionTree, weights: np.ndarray, k: int) -> tuple:
 
 def classify_good_indices(
     measure: DiscreteMeasure,
-    tree: PartitionTree,
     max_level: int | None = None,
 ) -> GoodIndexTable:
     """Good child indices per level, with full and filtered level sums.
@@ -323,6 +324,7 @@ def classify_good_indices(
     Past separation_depth + 1 every level is empty: the unique nonempty
     child holds its parent's whole mass and fails the pair condition.
     """
+    tree = measure.index_set.partition
     if max_level is None:
         max_level = tree.separation_depth + 1
     out = []
@@ -339,9 +341,9 @@ def _filtered_value(table: GoodIndexTable) -> float:
     return (FILTER_WEIGHT + table.filtered_series()) / (1.0 - FILTER_WEIGHT / 2.0)
 
 
-def filtered_bound(measure: DiscreteMeasure, tree: PartitionTree) -> float:
+def filtered_bound(measure: DiscreteMeasure) -> float:
     """(1 - L/2)^-1 * (L + sum_k 2^-k sum_{good i} sqrt(m(cell_i)))."""
-    return _filtered_value(classify_good_indices(measure, tree))
+    return _filtered_value(classify_good_indices(measure))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +388,11 @@ class FunctionalReport:
 
 def evaluate_functionals(
     measure: DiscreteMeasure,
-    tree: PartitionTree,
     coeffs: CoefficientSequence | None = None,
 ) -> FunctionalReport:
     strong, argmax = strong_functional(measure)
     weak = weak_functional(measure)
-    table = classify_good_indices(measure, tree)
+    table = classify_good_indices(measure)
     per_level = tuple(
         (lv.level, lv.full_sum, lv.filtered_sum, len(lv.good)) for lv in table.levels
     )
@@ -399,7 +400,7 @@ def evaluate_functionals(
         strong_value=strong,
         strong_argmax=argmax,
         weak_value=weak,
-        dyadic_value=dyadic_bound(measure, tree),
+        dyadic_value=dyadic_bound(measure),
         filtered_value=_filtered_value(table),
         rm_value=None if coeffs is None else rademacher_menchov(coeffs).value,
         filter_weight=FILTER_WEIGHT,

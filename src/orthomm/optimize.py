@@ -178,9 +178,8 @@ def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) 
             arg = (opts.step0 / math.sqrt(it)) * (vals - vals.max())
             w = np.maximum(w * np.exp(arg), _FLOOR)
             w /= w.sum()
-    measure = DiscreteMeasure(index_set, best_w)
-    value = weak_functional(measure)
-    return OptimizationResult(measure=measure, value=value, iterations=total_iters,
+    return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),
+                              value=best_val, iterations=total_iters,
                               converged=converged, trace=tuple(trace))
 
 

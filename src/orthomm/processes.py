@@ -376,16 +376,16 @@ class AdversarialSampler(ProcessSampler):
     ``_levels[k]`` maps each row that paths reach to its skeleton law and
     the (slot, start, stop, left) segments of its nonempty children, next
     to a (cells, 4) child-row array; ``_leaves`` maps rows to bridges.
+    ``base_depth`` is taken as given, also past the separation depth;
+    ``build_adversarial_process`` clips it there.
     """
 
-    def __init__(self, tree: PartitionTree, measure: DiscreteMeasure,
-                 base_depth: int):
+    def __init__(self, measure: DiscreteMeasure, base_depth: int):
         if base_depth < 0:
             raise ValueError("base depth must be nonnegative")
-        self.tree = tree
         self.base_depth = int(base_depth)
-        self.points = tree.index_set.points
-        self._build(measure.weights)
+        self.points = measure.index_set.points
+        self._build(measure.index_set.partition, measure.weights)
         self.n_uniform_slots = 5 * self.base_depth
         self.n_normal_slots = max((b.dim for b in self.bridges), default=0)
 
@@ -393,15 +393,15 @@ class AdversarialSampler(ProcessSampler):
         d = abs(s - t)
         return d * (1.0 - d)
 
-    def _build(self, weights: np.ndarray) -> None:
+    def _build(self, tree: PartitionTree, weights: np.ndarray) -> None:
         """Tables of the rows paths reach, level by level; bridges in row order."""
         size = self.points.size
-        starts, keys = self.tree.cell_arrays(0)
+        starts, keys = tree.cell_arrays(0)
         reached = [0]
         self._levels = []
         for k in range(1, self.base_depth + 1):
             bounds = np.r_[starts, size]  # of the level-(k-1) cells
-            starts, keys, masses, child_masses, good = _level_masses(self.tree, weights, k)
+            starts, keys, masses, child_masses, good = _level_masses(tree, weights, k)
             stops = np.r_[starts[1:], size]
             first = np.searchsorted(starts, bounds)  # each parent's first child row
             slot = (keys % 4).astype(np.intp)
@@ -452,26 +452,22 @@ class AdversarialSampler(ProcessSampler):
         return vals
 
 
-def build_adversarial_process(
-    tree: PartitionTree,
-    measure: DiscreteMeasure,
-    base_depth: int,
-) -> AdversarialSampler:
-    """Assemble the adversarial sampler on a partition and measure.
+def build_adversarial_process(measure: DiscreteMeasure,
+                              base_depth: int) -> AdversarialSampler:
+    """Assemble the adversarial sampler on a measure's partition.
 
-    Requests deeper than the stored partition are clipped to its depth
-    with a warning.
+    Requests deeper than the separation depth are clipped to it with a
+    warning: past it every cell is a singleton.
     """
-    if not np.array_equal(measure.index_set.points, tree.index_set.points):
-        raise ValueError("measure and partition must share one index set")
     depth = int(base_depth)
-    if depth > tree.depth:
+    sep = measure.index_set.partition.separation_depth
+    if depth > sep:
         warnings.warn(
-            f"base depth {depth} exceeds partition depth {tree.depth}; clipping",
+            f"base depth {depth} exceeds partition depth {sep}; clipping",
             RuntimeWarning,
         )
-        depth = tree.depth
-    return AdversarialSampler(tree, measure, depth)
+        depth = sep
+    return AdversarialSampler(measure, depth)
 
 
 class OrthogonalLift(ProcessSampler):
@@ -703,7 +699,6 @@ class LowerBoundReport:
 
 def lower_bound_report(
     measure: DiscreteMeasure,
-    tree: PartitionTree,
     base_depth: int,
     paths: int,
     seed: int,
@@ -718,9 +713,9 @@ def lower_bound_report(
     """
     if base_depth < 1:
         raise ValueError("base depth must be at least 1")
-    sampler = OrthogonalLift(build_adversarial_process(tree, measure, base_depth))
+    sampler = OrthogonalLift(build_adversarial_process(measure, base_depth))
     depth = sampler.inner.base_depth
-    table = classify_good_indices(measure, tree, max_level=depth)
+    table = classify_good_indices(measure, max_level=depth)
     filtered = table.filtered_series()
     vals = sampler.sample(paths, seed)
     stat = (vals ** 2).max(axis=1)

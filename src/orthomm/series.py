@@ -12,6 +12,7 @@ with T; cells nest four-into-one across levels.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -170,9 +171,10 @@ class IndexSet:
     (all a_n > 0) but for fast-decaying tails the partial sums fall below
     one ulp of each other.
 
-    The strong and weak functionals store the distance profile on the
-    instance the first time they run (``functionals._profile``), so the
-    profile is freed with the index set.
+    The quad-adic partition (``partition``) and the distance profile
+    behind the strong and weak functionals (``functionals._profile``) are
+    built on first use and stored on the instance, so both are freed
+    with the index set.
     """
 
     points: np.ndarray
@@ -198,6 +200,11 @@ class IndexSet:
     @property
     def diameter(self) -> float:
         return float(self.points[-1] - self.points[0])
+
+    @functools.cached_property
+    def partition(self) -> "PartitionTree":
+        """The quad-adic cells of this set, built once by ``build_partition``."""
+        return build_partition(self)
 
     def position(self, t: float) -> int:
         """Index of t in the point array; DomainError when absent."""
@@ -239,9 +246,6 @@ def build_index_set(coeffs: CoefficientSequence) -> IndexSet:
 # ---------------------------------------------------------------------------
 # quad-adic partition
 
-_MAX_LEVEL = 1100  # past subnormal spacing; separation always occurs before this
-
-
 def _cell_index(t: float, level: int) -> int:
     """Exact floor(t * 4^level) for t >= 0 via integer mantissa shifts.
 
@@ -274,54 +278,44 @@ def _level_arrays(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
-    """Nested quad-adic cells over an index set, stored as per-level arrays.
+    """Nested quad-adic cells over a point set, stored as per-level arrays.
 
-    For 0 <= k <= depth, ``levels[k]`` holds the start offsets into the
-    point array of the nonempty level-k cells (each runs up to the next
-    start) and ``keys[k]`` their quad-adic indices floor(t * 4^k).
     ``separation_depth`` is the smallest level at which every nonempty
-    cell is a singleton; it is a property of the point set alone and is
-    recorded even when ``depth`` differs.
+    cell is a singleton.  For 0 <= k <= separation_depth, ``levels[k]``
+    holds the start offsets into ``points`` of the nonempty level-k cells
+    (each runs up to the next start) and ``keys[k]`` their quad-adic
+    indices floor(t * 4^k).
     """
 
-    index_set: IndexSet
-    depth: int
+    points: np.ndarray
     separation_depth: int
     levels: tuple[np.ndarray, ...]
     keys: tuple[np.ndarray, ...]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.index_set.points
 
     def cell_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(start offsets, keys) at any level, stored or computed on demand."""
         if k < 0:
             raise ValueError("level must be nonnegative")
-        if k <= self.depth:
+        if k <= self.separation_depth:
             return self.levels[k], self.keys[k]
-        return _level_arrays(self.index_set.points, k)
+        return _level_arrays(self.points, k)
 
 
-def build_partition(index_set: IndexSet, max_depth: int | str = "auto") -> PartitionTree:
-    """Build the cell tree; ``max_depth="auto"`` stores levels up to separation."""
-    if max_depth != "auto":
-        depth = int(max_depth)
-        if depth < 0:
-            raise ValueError("max_depth must be nonnegative")
-        if depth > _MAX_LEVEL:
-            raise ValueError(f"max_depth above supported ceiling {_MAX_LEVEL}")
+def build_partition(index_set: IndexSet) -> PartitionTree:
+    """Build the cell tree, storing every level up to separation.
+
+    ``IndexSet.partition`` calls this once per index set and keeps the
+    result; every tree functional reads the partition from there.
+    """
     pts = index_set.points
     # distinct doubles in [0, 1) separate by level 537 (subnormal spacing)
     levels = [_level_arrays(pts, 0)]
     while levels[-1][0].size < pts.size:
         levels.append(_level_arrays(pts, len(levels)))
-    sep = len(levels) - 1
-    if max_depth == "auto":
-        depth = sep
-    levels += [_level_arrays(pts, k) for k in range(sep + 1, depth + 1)]
-    starts, keys = zip(*levels[:depth + 1])
-    return PartitionTree(index_set=index_set, depth=depth, separation_depth=sep,
+    starts, keys = zip(*levels)
+    for arr in starts + keys:  # every user of the index set shares them
+        arr.setflags(write=False)
+    return PartitionTree(points=pts, separation_depth=len(levels) - 1,
                          levels=starts, keys=keys)
 
 

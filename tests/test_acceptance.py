@@ -107,9 +107,8 @@ def test_criterion_03_one_level_second_moments():
 def test_criterion_04_bridge_and_lift_moments():
     start = time.perf_counter()
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 15))
-    tree = om.build_partition(index)
     uniform = om.make_measure(index, "uniform")
-    suite = checks.suite_bridge(tree, uniform, paths=100_000, seed=7, pairs=20)
+    suite = checks.suite_bridge(uniform, paths=100_000, seed=7, pairs=20)
     fact = next(c for c in suite["checks"] if c["name"] == "bridge_factorization")
     elapsed = time.perf_counter() - start
     _verdict(4, "bridge factorization and lift increment moments",
@@ -123,21 +122,20 @@ def test_criterion_05_functional_inequalities():
     start = time.perf_counter()
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 63))
     assert index.points.size == 64
-    tree = om.build_partition(index)
+    tree = index.partition
     rng = np.random.default_rng(505)
     strong_over_dyadic = weak_over_filtered = tail_terms = 0
     worst_excess = -math.inf
     for s in rng.integers(0, 2 ** 31, size=100):
         m = om.DiscreteMeasure.dirichlet_random(index, seed=int(s))
         strong, _ = om.strong_functional(m)
-        sup_bound = om.dyadic_sup_bound(m, tree)
+        sup_bound = om.dyadic_sup_bound(m)
         worst_excess = max(worst_excess, strong - sup_bound)
         if strong > sup_bound:
             strong_over_dyadic += 1
-        if om.weak_functional(m) > om.filtered_bound(m, tree):
+        if om.weak_functional(m) > om.filtered_bound(m):
             weak_over_filtered += 1
-        table = om.classify_good_indices(m, tree,
-                                         max_level=tree.separation_depth + 3)
+        table = om.classify_good_indices(m, max_level=tree.separation_depth + 3)
         tail_terms += sum(lvl.filtered_sum != 0.0 for lvl in table.levels
                           if lvl.level > tree.separation_depth + 1)
     elapsed = time.perf_counter() - start
@@ -179,12 +177,11 @@ def test_criterion_06_chaining_upper_bound():
 def test_criterion_07_adversarial_lower_bound():
     start = time.perf_counter()
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 64))
-    tree = om.build_partition(index)
     rng = np.random.default_rng(707)
     all_pass = True
     for s in rng.integers(0, 2 ** 31, size=50):
         rep = om.lower_bound_report(om.DiscreteMeasure.dirichlet_random(index, seed=int(s)),
-                                    tree, base_depth=3, paths=20_000, seed=int(s))
+                                    base_depth=3, paths=20_000, seed=int(s))
         all_pass &= rep.passed
     elapsed = time.perf_counter() - start
     ok = all_pass and elapsed < 600.0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -77,12 +78,6 @@ def test_build_rejects_csv_format(capsys):
     rc, _, err = run("build", "--format", "csv", capsys=capsys)
     assert rc == 2
     assert "per-level" in err
-
-
-def test_build_bad_depth_exit_two(capsys):
-    rc, _, err = run("build", "--depth", "soon", capsys=capsys)
-    assert rc == 2
-    assert "depth" in err
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -272,9 +267,8 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 def test_vacuous_suites_pass_on_singleton_sets():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
-    tree = om.build_partition(index)
     measure = om.make_measure(index, "uniform")
-    bridge = checks.suite_bridge(tree, measure, paths=200, seed=1)
+    bridge = checks.suite_bridge(measure, paths=200, seed=1)
     assert bridge["passed"] is True and bridge["checks"] == []
     chain = checks.suite_chaining(None, measure, om.OrthonormalGenerator(),
                                   paths=200, seed=1)
@@ -410,6 +404,12 @@ def test_paths_below_two_is_usage_error(command, paths, capsys):
     ["adversarial", "--seed", "1", "--restarts", "4"],
     ["verify", "--suite", "skeleton", "--restarts", "4"],
     ["pipeline", "--seed", "1", "--restarts", "4"],
+    # the partition always reaches the separation depth, so no command
+    # but adversarial (whose --depth is its base depth) takes --depth
+    ["build", "--depth", "soon"],
+    ["evaluate", "--depth", "2"],
+    ["verify", "--suite", "inequalities", "--seed", "1", "--depth", "2"],
+    ["pipeline", "--seed", "1", "--depth", "auto"],
 ])
 def test_options_nothing_reads_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -418,6 +418,19 @@ def test_options_nothing_reads_are_rejected(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+def test_adversarial_depth_is_the_base_depth():
+    args = cli._build_parser().parse_args(["adversarial", "--depth", "1"])
+    assert args.base_depth == 1
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.COEFFS:
+        cli._build_parser().parse_args(workloads.command(name, 1, "out.json"))
 
 
 def _readme_commands() -> list[str]:

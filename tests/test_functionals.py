@@ -156,29 +156,26 @@ def test_weak_never_exceeds_strong(seed):
 
 def test_dyadic_uniform_two_points():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    assert om.dyadic_bound(u, tree) == 1.4142135623730951
+    assert om.dyadic_bound(u) == 1.4142135623730951
 
 
 def test_dyadic_point_mass_two_points():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    assert om.dyadic_bound(pm, tree) == 1.0
+    assert om.dyadic_bound(pm) == 1.0
 
 
 def test_dyadic_uniform_four_grid():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    assert om.dyadic_bound(u, tree) == 2.0
+    assert om.dyadic_bound(u) == 2.0
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_dyadic_tail_matches_brute_force(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
-    tree = om.build_partition(index)
+    tree = index.partition
     m = dirichlet_measure(index, seed)
     sep = tree.separation_depth
     head = 0.0
@@ -187,7 +184,7 @@ def test_dyadic_tail_matches_brute_force(seed):
         head += 2.0 ** -k * np.sqrt(np.add.reduceat(m.weights, starts)).sum()
     brute_tail = sum(2.0 ** -k for k in range(sep + 1, sep + 200)) \
         * np.sqrt(m.weights[m.weights > 0]).sum()
-    assert om.dyadic_bound(m, tree) == pytest.approx(head + brute_tail, rel=1e-12)
+    assert om.dyadic_bound(m) == pytest.approx(head + brute_tail, rel=1e-12)
 
 
 def exact_level_sums(measure: om.DiscreteMeasure, tree: om.PartitionTree,
@@ -217,97 +214,90 @@ def test_level_sums_keep_light_cells_precise(family, seed):
     # cell masses taken as differences of one running prefix sum lost up
     # to 1.7e-9 relative in a level sum on these sparse measures
     index = om.build_index_set(family)
-    tree = om.build_partition(index)
+    tree = index.partition
     w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.2))
     m = om.DiscreteMeasure.explicit(index, w)
     sep = tree.separation_depth
     exact = exact_level_sums(m, tree, sep + 1)
-    table = om.classify_good_indices(m, tree)
+    table = om.classify_good_indices(m)
     for lv, ref in zip(table.levels, exact):
         assert lv.full_sum == pytest.approx(float(ref), rel=1e-14)
     with localcontext() as ctx:
         ctx.prec = 60
         dyadic = sum(Decimal(2) ** -k * ref for k, ref in enumerate(exact[:sep], 1))
         dyadic += Decimal(2) ** -sep * sum(Decimal(float(x)).sqrt() for x in m.weights)
-    assert om.dyadic_bound(m, tree) == pytest.approx(float(dyadic), rel=1e-14)
+    assert om.dyadic_bound(m) == pytest.approx(float(dyadic), rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_weak_never_exceeds_dyadic(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
-    tree = om.build_partition(index)
     m = dirichlet_measure(index, seed)
-    assert om.weak_functional(m) <= om.dyadic_bound(m, tree) + 1e-12
+    assert om.weak_functional(m) <= om.dyadic_bound(m) + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # pointwise dyadic bound
 
 
-def sparse_geometric_measures() -> list[tuple[om.DiscreteMeasure, om.PartitionTree]]:
+def sparse_geometric_measures() -> list[om.DiscreteMeasure]:
     """Sparse Dirichlet(0.2) measures on geometric(0.5, 40), separation depth 20."""
     index = om.build_index_set(om.CoefficientSequence.geometric(0.5, 40))
-    tree = om.build_partition(index)
     alpha = np.full(len(index), 0.2)
-    return [(om.DiscreteMeasure.explicit(
-                index, np.random.default_rng(seed).dirichlet(alpha)), tree)
+    return [om.DiscreteMeasure.explicit(
+                index, np.random.default_rng(seed).dirichlet(alpha))
             for seed in range(12)]
 
 
-def dirichlet_power_measures() -> list[tuple[om.DiscreteMeasure, om.PartitionTree]]:
+def dirichlet_power_measures() -> list[om.DiscreteMeasure]:
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
-    tree = om.build_partition(index)
-    return [(dirichlet_measure(index, seed), tree) for seed in range(8)]
+    return [dirichlet_measure(index, seed) for seed in range(8)]
 
 
 def test_dyadic_sup_uniform_two_points():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    assert om.dyadic_sup_bound(u, tree) == 1.4142135623730951
+    assert om.dyadic_sup_bound(u) == 1.4142135623730951
 
 
 def test_dyadic_sup_uniform_four_grid():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    assert om.dyadic_sup_bound(u, tree) == 2.0
+    assert om.dyadic_sup_bound(u) == 2.0
 
 
 def test_dyadic_sup_point_mass_is_infinite():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = om.dyadic_sup_bound(pm, tree)
+        value = om.dyadic_sup_bound(pm)
     assert math.isinf(value)
 
 
 def test_dyadic_sup_singleton_is_one():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    assert om.dyadic_sup_bound(u, tree) == 1.0
-    assert om.dyadic_bound(u, tree) == 1.0
+    assert om.dyadic_sup_bound(u) == 1.0
+    assert om.dyadic_bound(u) == 1.0
 
 
 @pytest.mark.parametrize("family", [dirichlet_power_measures, sparse_geometric_measures])
 def test_strong_never_exceeds_dyadic_sup(family):
-    for m, tree in family():
-        rows = _dyadic_rows(m, tree)
+    for m in family():
+        rows = _dyadic_rows(m)
         for pos, t in enumerate(m.index_set.points):
             assert om.strong_functional_at(m, float(t)) <= rows[pos]
         strong, _ = om.strong_functional(m)
-        assert strong <= om.dyadic_sup_bound(m, tree)
+        assert strong <= om.dyadic_sup_bound(m)
 
 
 def test_dyadic_bound_is_mass_average_of_sup_rows():
-    for m, tree in dirichlet_power_measures():
-        rows = _dyadic_rows(m, tree)
+    for m in dirichlet_power_measures():
+        rows = _dyadic_rows(m)
         assert float(np.dot(m.weights, rows)) == pytest.approx(
-            om.dyadic_bound(m, tree), rel=1e-12)
+            om.dyadic_bound(m), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +323,8 @@ def test_good_children_bounds_are_non_strict():
 
 def test_good_indices_four_grid_all_good_at_level_one():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    table = om.classify_good_indices(u, tree)
+    table = om.classify_good_indices(u)
     assert table.levels[0].level == 1
     assert table.levels[0].good == (0, 1, 2, 3)
     assert table.levels[0].filtered_sum == 2.0
@@ -343,19 +332,18 @@ def test_good_indices_four_grid_all_good_at_level_one():
 
 def test_good_indices_point_mass_has_none():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    table = om.classify_good_indices(pm, tree)
+    table = om.classify_good_indices(pm)
     assert all(lvl.good == () for lvl in table.levels)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_good_indices_empty_past_separation(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 12))
-    tree = om.build_partition(index)
+    tree = index.partition
     m = dirichlet_measure(index, seed)
     sep = tree.separation_depth
-    table = om.classify_good_indices(m, tree, max_level=sep + 4)
+    table = om.classify_good_indices(m, max_level=sep + 4)
     for lvl in table.levels:
         if lvl.level >= sep + 1:
             assert lvl.good == ()
@@ -364,9 +352,8 @@ def test_good_indices_empty_past_separation(seed):
 
 def test_filtered_bound_uniform_four_grid_closed_form():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    value = om.filtered_bound(u, tree)
+    value = om.filtered_bound(u)
     assert value == (L + 1.0) / (1.0 - L / 2.0)
     assert value == 23.83611624891225
     assert value == pytest.approx(23.8367, abs=1e-3)
@@ -374,9 +361,8 @@ def test_filtered_bound_uniform_four_grid_closed_form():
 
 def test_filtered_bound_point_mass_floor():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    value = om.filtered_bound(pm, tree)
+    value = om.filtered_bound(pm)
     assert value == FILTERED_FLOOR
     assert value == 15.224077499274834
     assert value == pytest.approx(15.2267, abs=5e-3)
@@ -390,18 +376,16 @@ def test_filter_weight_value():
 @pytest.mark.parametrize("seed", range(6))
 def test_weak_never_exceeds_filtered(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
-    tree = om.build_partition(index)
     m = dirichlet_measure(index, seed)
-    assert om.weak_functional(m) <= om.filtered_bound(m, tree) + 1e-12
+    assert om.weak_functional(m) <= om.filtered_bound(m) + 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_filtered_bound_at_least_floor(seed):
     index = explicit_set(0.3, 0.2, 0.4)
-    tree = om.build_partition(index)
     m = dirichlet_measure(index, seed)
-    assert om.filtered_bound(m, tree) >= FILTERED_FLOOR - 1e-12
+    assert om.filtered_bound(m) >= FILTERED_FLOOR - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +426,9 @@ def test_chaining_constant_formula():
 
 def test_evaluate_functionals_uniform_four_grid():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
     seq = om.CoefficientSequence.explicit([0.5, 0.5, 0.5])
-    rep = om.evaluate_functionals(u, tree, coeffs=seq)
+    rep = om.evaluate_functionals(u, coeffs=seq)
     assert rep.strong_value == 1.4763966378857263
     assert rep.strong_argmax == 0.0
     assert rep.dyadic_value == 2.0
@@ -462,9 +445,8 @@ def test_evaluate_functionals_uniform_four_grid():
 
 def test_evaluate_functionals_point_mass_reports_infinity():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    rep = om.evaluate_functionals(pm, tree)
+    rep = om.evaluate_functionals(pm)
     assert math.isinf(rep.strong_value)
     assert rep.weak_value == 0.5
     doc = rep.to_json()

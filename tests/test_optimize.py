@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_maximize_at_least_uniform_start():
     uniform_weak = om.weak_functional(om.make_measure(index, "uniform"))
     res = om.maximize_weak(index, OptimizerOptions(seed=3))
     assert res.value >= uniform_weak - 1e-9
+
+
+@pytest.mark.parametrize("seq", [
+    om.CoefficientSequence.explicit([0.5]),
+    om.CoefficientSequence.power(1.0, 64),
+    om.CoefficientSequence.power(1.0, 256),
+    om.CoefficientSequence.power(0.75, 128),
+    om.CoefficientSequence.geometric(0.5, 40),
+    om.CoefficientSequence.geometric(0.9, 256),
+], ids=lambda seq: f"{seq.family}{len(seq)}")
+def test_maximize_value_is_the_weak_functional_of_its_measure(seq):
+    # the best iterate's weighted row sum, which weak_functional
+    # recomputes bit for bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        index = om.build_index_set(seq)
+    res = om.maximize_weak(index, OptimizerOptions(seed=0))
+    assert res.value == om.weak_functional(res.measure)
 
 
 def test_maximize_requires_seed_for_restarts():

@@ -19,11 +19,9 @@ def explicit_set(*values: float) -> om.IndexSet:
 
 def uniform_setup(count: int, depth: int | None = None):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, count))
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    if depth is None:
-        depth = tree.depth
-    return index, tree, u, min(depth, tree.depth)
+    sep = index.partition.separation_depth
+    return index, u, sep if depth is None else min(depth, sep)
 
 
 def mc_close(samples: np.ndarray, target: float, sigmas: float = 3.0) -> bool:
@@ -245,8 +243,8 @@ def test_oracle_rejects_bad_arguments():
 
 
 def test_bridge_factorization_and_covariance():
-    index, tree, _, _ = uniform_setup(12)
-    starts, keys = tree.cell_arrays(1)
+    index, _, _ = uniform_setup(12)
+    starts, keys = index.partition.cell_arrays(1)
     for key, start, stop in zip(keys, starts, np.r_[starts[1:], len(index)]):
         b = _build_bridge(1, int(key), index.points, int(start), int(stop))
         cov = b.covariance()
@@ -257,8 +255,7 @@ def test_bridge_factorization_and_covariance():
 
 def test_bridge_pins_left_endpoint_points():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
-    starts, keys = tree.cell_arrays(1)
+    starts, keys = index.partition.cell_arrays(1)
     assert (starts[0], starts[1], keys[0]) == (0, 1, 0)
     b = _build_bridge(1, 0, index.points, 0, 1)
     assert b.pinned.tolist() == [0] and b.dim == 0
@@ -269,8 +266,7 @@ def test_bridge_pins_left_endpoint_points():
 
 def test_bridge_sample_varies_at_interior_points():
     index = explicit_set(0.1, 0.1, 0.1)
-    tree = om.build_partition(index, max_depth=0)
-    assert tree.cell_arrays(0)[0].tolist() == [0]
+    assert index.partition.cell_arrays(0)[0].tolist() == [0]
     b = _build_bridge(0, 0, index.points, 0, len(index))
     assert b.pinned.tolist() == [0]
     assert b.positions.tolist() == [1, 2, 3]
@@ -302,8 +298,8 @@ def test_bridge_empirical_covariance():
 
 
 def test_adversarial_value_at_zero_is_zero():
-    index, tree, u, depth = uniform_setup(9, depth=2)
-    sampler = om.build_adversarial_process(tree, u, depth)
+    index, u, depth = uniform_setup(9, depth=2)
+    sampler = om.build_adversarial_process(u, depth)
     vals = sampler.sample(500, 3)
     assert vals.shape == (500, index.points.size)
     assert np.array_equal(vals[:, 0], np.zeros(500))
@@ -311,8 +307,8 @@ def test_adversarial_value_at_zero_is_zero():
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_adversarial_increment_second_moments(depth):
-    index, tree, u, depth = uniform_setup(9, depth=depth)
-    sampler = om.build_adversarial_process(tree, u, depth)
+    index, u, depth = uniform_setup(9, depth=depth)
+    sampler = om.build_adversarial_process(u, depth)
     vals = sampler.sample(PATHS, 11)
     rng = np.random.default_rng(5)
     pts = index.points
@@ -323,17 +319,17 @@ def test_adversarial_increment_second_moments(depth):
 
 
 def test_adversarial_determinism_across_workers_and_rebuilds():
-    _, tree, u, depth = uniform_setup(9, depth=2)
-    a = om.build_adversarial_process(tree, u, depth).sample(300, 9)
-    b = om.build_adversarial_process(tree, u, depth).sample(300, 9)
+    _, u, depth = uniform_setup(9, depth=2)
+    a = om.build_adversarial_process(u, depth).sample(300, 9)
+    b = om.build_adversarial_process(u, depth).sample(300, 9)
     assert np.array_equal(a, b)
-    c = om.build_adversarial_process(tree, u, depth).sample(300, 10)
+    c = om.build_adversarial_process(u, depth).sample(300, 10)
     assert not np.array_equal(a, c)
 
 
 def test_adversarial_seed_and_path_validation():
-    _, tree, u, depth = uniform_setup(4, depth=1)
-    sampler = om.build_adversarial_process(tree, u, depth)
+    _, u, depth = uniform_setup(4, depth=1)
+    sampler = om.build_adversarial_process(u, depth)
     with pytest.raises(TypeError, match="seed"):
         sampler.sample(100)
     with pytest.raises(ValueError, match="nonnegative seed"):
@@ -343,24 +339,16 @@ def test_adversarial_seed_and_path_validation():
 
 
 def test_adversarial_depth_clip_warning():
-    _, tree, u, _ = uniform_setup(4)
+    _, u, sep = uniform_setup(4)
     with pytest.warns(RuntimeWarning, match="exceeds partition depth"):
-        sampler = om.build_adversarial_process(tree, u, tree.depth + 2)
-    assert sampler.base_depth == tree.depth
-
-
-def test_adversarial_rejects_foreign_measure():
-    _, tree, _, _ = uniform_setup(4)
-    other = explicit_set(0.5)
-    with pytest.raises(ValueError, match="share one index set"):
-        om.build_adversarial_process(tree, om.make_measure(other, "uniform"), 1)
+        sampler = om.build_adversarial_process(u, sep + 2)
+    assert sampler.base_depth == sep
 
 
 def test_adversarial_point_mass_measure():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    sampler = om.build_adversarial_process(tree, pm, 1)
+    sampler = om.build_adversarial_process(pm, 1)
     vals = sampler.sample(PATHS, 2)
     assert np.array_equal(vals[:, 0], np.zeros(PATHS))
     assert mc_close(vals[:, 1] ** 2, 0.25 * (1.0 - 0.25))
@@ -371,9 +359,8 @@ def test_adversarial_past_float_levels(depth):
     # one node per level: 537 levels once overflowed the recursion limit,
     # 4.0**512 the bridge covariance and keys past 2**1024 the endpoints
     index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    sampler = om.build_adversarial_process(tree, u, depth)
+    sampler = om.build_adversarial_process(u, depth)
     assert sampler.base_depth == depth
     vals = sampler.sample(2_000, 3)
     assert vals.shape == (2_000, 4) and np.all(np.isfinite(vals))
@@ -389,8 +376,8 @@ def test_adversarial_past_float_levels(depth):
 
 
 def test_lift_pairs_paths_with_inner_sampler():
-    index, tree, u, depth = uniform_setup(9, depth=2)
-    inner = om.build_adversarial_process(tree, u, depth)
+    index, u, depth = uniform_setup(9, depth=2)
+    inner = om.build_adversarial_process(u, depth)
     lift = om.OrthogonalLift(inner)
     assert lift.n_normal_slots == inner.n_normal_slots + 1
     X = lift.sample(1_000, 21)
@@ -403,8 +390,8 @@ def test_lift_pairs_paths_with_inner_sampler():
 
 
 def test_lift_increment_second_moments():
-    index, tree, u, depth = uniform_setup(9, depth=2)
-    lift = om.OrthogonalLift(om.build_adversarial_process(tree, u, depth))
+    index, u, depth = uniform_setup(9, depth=2)
+    lift = om.OrthogonalLift(om.build_adversarial_process(u, depth))
     vals = lift.sample(PATHS, 22)
     pts = index.points
     rng = np.random.default_rng(6)
@@ -416,8 +403,8 @@ def test_lift_increment_second_moments():
 
 
 def test_lift_dominates_inner_supremum():
-    _, tree, u, depth = uniform_setup(9, depth=2)
-    inner = om.build_adversarial_process(tree, u, depth)
+    _, u, depth = uniform_setup(9, depth=2)
+    inner = om.build_adversarial_process(u, depth)
     lift = om.OrthogonalLift(inner)
     X = lift.sample(PATHS, 23)
     Y = inner.sample(PATHS, 23)
@@ -599,9 +586,8 @@ def test_verify_chaining_bound_rejects_foreign_measure():
 
 def test_lower_bound_report_uniform_four_grid():
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    rep = om.lower_bound_report(u, tree, base_depth=1, paths=5_000, seed=3)
+    rep = om.lower_bound_report(u, base_depth=1, paths=5_000, seed=3)
     assert rep.filtered_sum == 1.0
     assert rep.threshold == om.LOWER_BOUND_FACTOR * math.sqrt(rep.estimate.mean) \
         + 3.0 * rep.estimate.stderr
@@ -612,9 +598,8 @@ def test_lower_bound_report_uniform_four_grid():
 def test_lower_bound_report_fails_with_a_tiny_factor(monkeypatch):
     monkeypatch.setattr("orthomm.processes.LOWER_BOUND_FACTOR", 1e-9)
     index = explicit_set(0.5, 0.5, 0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
-    rep = om.lower_bound_report(u, tree, base_depth=1, paths=5_000, seed=3)
+    rep = om.lower_bound_report(u, base_depth=1, paths=5_000, seed=3)
     assert rep.filtered_sum == 1.0
     assert rep.threshold == 1e-9 * math.sqrt(rep.estimate.mean) \
         + 3.0 * rep.estimate.stderr
@@ -624,16 +609,14 @@ def test_lower_bound_report_fails_with_a_tiny_factor(monkeypatch):
 
 def test_lower_bound_report_clips_depth_with_warning():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
     with pytest.warns(RuntimeWarning, match="clipping"):
-        rep = om.lower_bound_report(u, tree, base_depth=4, paths=2_000, seed=5)
-    assert rep.base_depth == tree.depth
+        rep = om.lower_bound_report(u, base_depth=4, paths=2_000, seed=5)
+    assert rep.base_depth == index.partition.separation_depth
 
 
 def test_lower_bound_report_requires_positive_depth():
     index = explicit_set(0.5)
-    tree = om.build_partition(index)
     u = om.make_measure(index, "uniform")
     with pytest.raises(ValueError, match="at least 1"):
-        om.lower_bound_report(u, tree, base_depth=0, paths=2_000, seed=5)
+        om.lower_bound_report(u, base_depth=0, paths=2_000, seed=5)

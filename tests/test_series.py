@@ -1,8 +1,10 @@
 """Index sets, partitions, and measures built from coefficient sequences."""
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -133,7 +135,7 @@ def test_index_set_inside_unit_interval(values):
 
 def cell_counts(tree: om.PartitionTree, k: int) -> np.ndarray:
     starts, _ = tree.cell_arrays(k)
-    return np.diff(np.r_[starts, len(tree.index_set)])
+    return np.diff(np.r_[starts, tree.points.size])
 
 
 def test_partition_of_two_points():
@@ -163,7 +165,7 @@ def test_singleton_partition_has_depth_zero():
 def test_level_cells_partition_the_points():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
     tree = om.build_partition(index)
-    for k in range(tree.depth + 1):
+    for k in range(tree.separation_depth + 1):
         starts, keys = tree.cell_arrays(k)
         assert starts[0] == 0
         assert np.all(np.diff(starts) > 0)
@@ -177,7 +179,7 @@ def test_level_cells_partition_the_points():
 def test_children_refine_parent():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
     tree = om.build_partition(index)
-    for k in range(tree.depth):
+    for k in range(tree.separation_depth):
         starts, keys = tree.cell_arrays(k)
         kid_starts, kid_keys = tree.cell_arrays(k + 1)
         assert np.all(np.isin(starts, kid_starts))
@@ -190,7 +192,7 @@ def test_children_refine_parent():
 
 def test_level_cells_beyond_stored_depth():
     tree = om.build_partition(explicit_set(0.5))
-    deep = cell_counts(tree, tree.depth + 3)
+    deep = cell_counts(tree, tree.separation_depth + 3)
     assert deep.sum() == 2
     assert deep.max() == 1
 
@@ -199,15 +201,43 @@ def test_cell_masses_sum_to_one():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     tree = om.build_partition(index)
     measure = om.make_measure(index, "uniform")
-    for k in range(tree.depth + 1):
+    for k in range(tree.separation_depth + 1):
         starts, _ = tree.cell_arrays(k)
         masses = np.add.reduceat(measure.weights, starts)
         assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_partition_rejects_negative_depth():
-    with pytest.raises((ValueError, om.DomainError)):
-        om.build_partition(explicit_set(0.5), max_depth=-1)
+def test_partition_is_built_once_per_index_set(monkeypatch):
+    calls = []
+    build = om.series.build_partition
+
+    def counting(index_set):
+        calls.append(index_set)
+        return build(index_set)
+
+    monkeypatch.setattr("orthomm.series.build_partition", counting)
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
+    assert index.partition is index.partition
+    assert not any(a.flags.writeable for a in index.partition.levels + index.partition.keys)
+    m = om.make_measure(index, "uniform")
+    om.evaluate_functionals(m)
+    om.dyadic_sup_bound(m)
+    om.lower_bound_report(m, base_depth=2, paths=200, seed=1)
+    assert len(calls) == 1 and calls[0] is index
+
+
+def test_index_set_is_freed_with_its_partition_and_profile():
+    # without the cycle collector, only a reference cycle keeps it alive
+    gc.disable()
+    try:
+        index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
+        om.evaluate_functionals(om.make_measure(index, "uniform"))
+        assert {"partition", "_distance_profile"} <= set(vars(index))
+        ref = weakref.ref(index)
+        del index
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

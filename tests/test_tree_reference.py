@@ -24,7 +24,7 @@ from orthomm.processes import (
     _left_endpoint,
     s_skeleton,
 )
-from orthomm.series import _MAX_LEVEL, _cell_index
+from orthomm.series import _cell_index
 
 
 def ref_level_cells(points: np.ndarray, k: int) -> list[tuple[int, int, int]]:
@@ -55,7 +55,7 @@ def ref_separation_depth(points: np.ndarray) -> int:
     k = 0
     while len(ref_level_cells(points, k)) < len(points):
         k += 1
-        assert k <= _MAX_LEVEL
+        assert k <= 537  # a cell of width 2**-1074 holds one double
     return k
 
 
@@ -109,15 +109,15 @@ def exact_uniform_good_counts(tree: om.PartitionTree, max_level: int) -> list[in
 
 
 def assert_matches_reference(index: om.IndexSet) -> om.PartitionTree:
-    tree = om.build_partition(index)
+    tree = index.partition
     points = index.points
     assert tree.separation_depth == ref_separation_depth(points)
-    for k in range(tree.depth + 2):
+    for k in range(tree.separation_depth + 2):
         cells = ref_level_cells(points, k)
         starts, keys = tree.cell_arrays(k)
         assert starts.tolist() == [c[1] for c in cells]
         assert [int(i) for i in keys] == [c[0] for c in cells]
-        if k <= tree.depth:
+        if k <= tree.separation_depth:
             assert len(tree.levels[k]) == len(cells)
             # each nonempty reference child is a level-(k+1) cell of the tree
             kid_starts, kid_keys = tree.cell_arrays(k + 1)
@@ -157,11 +157,11 @@ def test_subnormal_spacing_uses_integer_levels():
 @given(index_sets(), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.2, 1.0]))
 @settings(max_examples=25, deadline=None)
 def test_good_sets_match_per_parent_reference(index, seed, alpha):
-    tree = om.build_partition(index)
+    tree = index.partition
     w = np.random.default_rng(seed).dirichlet(np.full(len(index), alpha))
     m = om.DiscreteMeasure.explicit(index, w)
     max_level = tree.separation_depth + 1
-    table = om.classify_good_indices(m, tree, max_level=max_level)
+    table = om.classify_good_indices(m, max_level=max_level)
     assert [lv.good for lv in table.levels] == ref_good_sets(m, tree, max_level)
 
 
@@ -172,9 +172,9 @@ def test_uniform_good_counts_match_integer_counts(seq):
     # 2 m_j <= m_pair at true ties (level 4 of geometric(0.9, 256),
     # levels 8 and 9 of power(1.0, 2048))
     index = om.build_index_set(seq)
-    tree = om.build_partition(index)
+    tree = index.partition
     max_level = tree.separation_depth + 1
-    table = om.classify_good_indices(om.DiscreteMeasure.uniform(index), tree,
+    table = om.classify_good_indices(om.DiscreteMeasure.uniform(index),
                                      max_level=max_level)
     assert [len(lv.good) for lv in table.levels] == \
         exact_uniform_good_counts(tree, max_level)
@@ -264,9 +264,10 @@ def sparse_dirichlet(index: om.IndexSet, seed: int) -> om.DiscreteMeasure:
     return om.DiscreteMeasure.explicit(index, w)
 
 
-def assert_sampler_matches_reference(tree: om.PartitionTree, m: om.DiscreteMeasure,
-                                     base_depth: int, paths: int, seed: int) -> None:
-    adv = om.AdversarialSampler(tree, m, base_depth)
+def assert_sampler_matches_reference(m: om.DiscreteMeasure, base_depth: int,
+                                     paths: int, seed: int) -> None:
+    tree = m.index_set.partition
+    adv = om.AdversarialSampler(m, base_depth)
     root, bridges = ref_sampler_build(tree, m.weights, base_depth)
     assert len(adv.bridges) == len(bridges)
     U, Z = _draw_path_matrices(seed, paths, adv.n_uniform_slots, adv.n_normal_slots)
@@ -277,29 +278,27 @@ def assert_sampler_matches_reference(tree: om.PartitionTree, m: om.DiscreteMeasu
 @given(index_sets(), st.integers(0, 2 ** 32 - 1), st.data())
 @settings(max_examples=25, deadline=None)
 def test_sampler_values_match_depth_first_reference(index, seed, data):
-    tree = om.build_partition(index)
     m = sparse_dirichlet(index, seed)
-    for base_depth in {0, data.draw(st.integers(0, tree.depth))}:
-        assert_sampler_matches_reference(tree, m, base_depth, 300, seed % 1000)
+    for base_depth in {0, data.draw(st.integers(0, index.partition.separation_depth))}:
+        assert_sampler_matches_reference(m, base_depth, 300, seed % 1000)
 
 
 @pytest.mark.parametrize("base_depth", [512, 537])
 def test_sampler_values_match_reference_at_subnormal_depths(base_depth):
     index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
-    tree = om.build_partition(index)
     for w in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]):
         m = om.DiscreteMeasure.explicit(index, np.asarray(w))
-        assert_sampler_matches_reference(tree, m, base_depth, 200, 3)
+        assert_sampler_matches_reference(m, base_depth, 200, 3)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampler_nodes_match_per_parent_reference(seed):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
-    tree = om.build_partition(index)
+    tree = index.partition
     w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.5))
     w[::7] = 0.0  # zero-mass cells are never descended into
     m = om.DiscreteMeasure.explicit(index, w)
-    adv = om.AdversarialSampler(tree, m, 4)
+    adv = om.AdversarialSampler(m, 4)
     points = tree.points
     bridges = []
 
