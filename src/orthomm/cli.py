@@ -255,9 +255,13 @@ def cmd_verify(args) -> int:
             built()[1], args.random_measures, args.seed),
     }
     names = checks.SUITES if args.suite == "all" else (args.suite,)
-    results = [suites[name]() for name in names]
+    notes: list[str] = []
+    with _noting_warnings(notes):
+        results = [suites[name]() for name in names]
+    if built.cache_info().currsize:
+        notes[:0] = built()[2]
     passed = all(r["passed"] for r in results)
-    report = {"suites": results, "passed": passed}
+    report = {"suites": results, "warnings": notes, "passed": passed}
     config = {"suite": args.suite, "coeffs": args.coeffs,
               "seed": args.seed, "paths": args.paths,
               "random_measures": args.random_measures}

@@ -440,8 +440,10 @@ class AdversarialSampler(ProcessSampler):
                 S = s_skeleton(z)
                 for j, start, stop, left in segments:
                     offs = (self.points[start:stop] - left)[None, :]
-                    seg = down * S[:, j, None] + up * offs * (S[:, j + 1, None] - S[:, j, None])
-                    vals[idx, start:stop] += m[:, None] * seg
+                    seg = up * offs * (S[:, j + 1, None] - S[:, j, None])
+                    seg += down * S[:, j, None]
+                    seg *= m[:, None]
+                    vals[idx, start:stop] += seg
                 row[idx] = child[r, tau]
                 mult[idx] = m / np.sqrt(sk.probs[tau])
         for r, idx in _row_groups(row):

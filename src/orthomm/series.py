@@ -146,9 +146,7 @@ class CoefficientSequence:
             n = self.family_params["count"]
             if 2.0 * p <= 1.0:
                 return math.inf
-            from scipy.special import zeta
-
-            return float(zeta(2.0 * p, n + 1))
+            return _hurwitz_zeta(2.0 * p, n + 1.0)
         if self.family == "geometric":
             q = self.family_params["ratio"]
             n = self.family_params["count"]
@@ -156,6 +154,32 @@ class CoefficientSequence:
                 return math.inf
             return q ** (n + 1) / (1.0 - q)
         return None
+
+
+# B_2j / (2j)! for j = 1..8
+_BERNOULLI_TERMS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                    -691 / 1307674368000, 1 / 74724249600,
+                    -3617 / 10670622842880000)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """sum_{k >= 0} (a + k)^-s for s > 1, a >= 1, by Euler-Maclaurin.
+
+    Twelve head terms, then at x = a + 12 the integral x^(1-s)/(s-1), the
+    half term x^-s/2 and eight Bernoulli corrections
+    B_2j/(2j)! s(s+1)...(s+2j-2) x^(-s-2j+1) (DLMF 25.11; Abramowitz and
+    Stegun 23.1.30), summed in one ``math.fsum``.
+    """
+    x = a + 12.0
+    terms = [(a + k) ** -s for k in range(12)]
+    d = x ** -s
+    terms += [x ** (1.0 - s) / (s - 1.0), 0.5 * d]
+    d *= s / x
+    for j, b in enumerate(_BERNOULLI_TERMS):
+        terms.append(b * d)
+        # left to right, so an underflowed d stays 0 and never meets inf
+        d = d * (s + 2 * j + 1) / x * (s + 2 * j + 2) / x
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------

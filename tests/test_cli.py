@@ -252,6 +252,30 @@ def test_verify_all_runs_every_suite(capsys):
     assert doc["report"]["passed"] is True
 
 
+def test_verify_reports_index_set_notes(capsys):
+    doc = run_json("verify", "--suite", "inequalities", "--coeffs",
+                   '{"kind":"geometric","ratio":0.5,"count":80}', "--seed", "1",
+                   "--random-measures", "5", "--no-timestamp", capsys=capsys)
+    assert any(w.startswith("merged 27 coefficient partial sums")
+               for w in doc["report"]["warnings"])
+
+
+def test_verify_reports_a_clipped_base_depth(capsys):
+    doc = run_json("verify", "--suite", "lowerbound", "--coeffs", "[0.5]",
+                   "--base-depth", "9", "--seed", "1", "--paths", "2000",
+                   "--no-timestamp", capsys=capsys)
+    assert doc["report"]["warnings"] == [
+        "base depth 9 exceeds partition depth 1; clipping"]
+
+
+def test_verify_skeleton_builds_nothing_and_notes_nothing(capsys):
+    # skeleton reads no coefficients, so their notes do not apply to it
+    doc = run_json("verify", "--suite", "skeleton", "--coeffs",
+                   '{"kind":"geometric","ratio":0.5,"count":80}',
+                   "--no-timestamp", capsys=capsys)
+    assert doc["report"]["warnings"] == []
+
+
 def test_verify_stochastic_suite_requires_seed(capsys):
     rc, _, err = run("verify", "--suite", "chaining", capsys=capsys)
     assert rc == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,22 @@ def test_adversarial_past_float_levels(depth):
     for i, j in ((0, 3), (1, 3), (2, 3)):
         sq = (vals[:, i] - vals[:, j]) ** 2
         assert mc_close(sq, sampler.second_moment(pts[i], pts[j]))
+
+
+def test_adversarial_sample_keeps_one_segment_temporary():
+    # the root segment spans every point; building it in place keeps one
+    # paths x points temporary beside the value matrix, not two
+    _, u, _ = uniform_setup(64)
+    sampler = om.build_adversarial_process(u, 3)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        vals = sampler.sample(20_000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 4.2 * vals.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import orthomm as om
-from orthomm.series import SCALE_CEILING
+from orthomm.series import SCALE_CEILING, _hurwitz_zeta
 
 
 def explicit_set(*values: float) -> om.IndexSet:
@@ -56,6 +56,28 @@ def test_nonpositive_or_nonfinite_coefficients_rejected(bad):
 def test_tail_mass_power_is_hurwitz_zeta():
     seq = om.CoefficientSequence.power(1.0, 64)
     assert seq.tail_mass() == pytest.approx(float(zeta(2.0, 65.0)), rel=1e-12)
+
+
+ZETA_EXPONENTS = (0.55, 0.6, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0)
+ZETA_COUNTS = (1, 2, 3, 7, 16, 64, 100, 1000, 2048, 10000, 100000)
+
+
+@pytest.mark.parametrize("p", ZETA_EXPONENTS)
+def test_hurwitz_zeta_matches_scipy(p):
+    for count in ZETA_COUNTS:
+        expected = float(zeta(2.0 * p, count + 1.0))
+        assert _hurwitz_zeta(2.0 * p, count + 1.0) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("count", [64, 2048])
+def test_tail_mass_power_is_bit_equal_to_scipy(count):
+    # the default pipeline and the benchmark's P = 2049 set report these bytes
+    seq = om.CoefficientSequence.power(1.0, count)
+    assert seq.tail_mass() == float(zeta(2.0, count + 1.0))
+
+
+def test_tail_mass_power_with_an_underflowing_tail_is_zero():
+    assert om.CoefficientSequence.power(1e300, 1).tail_mass() == 0.0
 
 
 def test_tail_mass_power_divergent():
