@@ -262,7 +262,9 @@ def cmd_verify(args) -> int:
         notes[:0] = built()[2]
     passed = all(r["passed"] for r in results)
     report = {"suites": results, "warnings": notes, "passed": passed}
-    config = {"suite": args.suite, "coeffs": args.coeffs,
+    config = {"suite": args.suite, "coeffs": _parse_coeffs(args.coeffs).to_json(),
+              "measure": args.measure, "base_depth": args.base_depth,
+              "generator": OrthonormalGenerator(args.generator).kind,
               "seed": args.seed, "paths": args.paths,
               "random_measures": args.random_measures}
     _emit(args, "verify", config, report)

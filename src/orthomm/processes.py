@@ -11,10 +11,17 @@ a Brownian bridge fills in below the base depth.  Adding one independent
 linear Gaussian term turns the bridge-type increments |s-t|(1 - |s-t|)
 into orthogonal increments |s-t| exactly.
 
-Every sampler reads its variates from one Philox stream per (seed, kind,
-slot), and path i reads element i of each slot's stream.  Path i
-therefore gets the same values whatever the path count, and adding
-slots leaves the existing ones unchanged.
+Every variate comes from a Philox stream keyed by (seed, kind, *key):
+uniform slot j is (seed, 0, j), normal slot j is (seed, 1, j), and normal
+slot j of the bridge at the leaf with exact cell key kappa is (seed, 2,
+kappa, j).  Path i reads element i of each uniform and normal slot, and
+element r_i of its leaf's bridge slots, where r_i counts the paths before
+i that reach the same leaf.  So a path's values do not depend on the path
+count, and adding slots leaves the existing ones unchanged.  Every Monte
+Carlo reduction runs on consecutive blocks of ``_PATH_BLOCK`` paths and
+keeps one statistic per path, so no paths x points matrix is held; reading
+a stream in blocks gives the values of one bulk read, and no step mixes
+values across paths, so results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -62,34 +69,69 @@ __all__ = [
 ]
 
 _JITTER = 1e-14
+_PATH_BLOCK = 4096  # paths per Monte Carlo block
 
 
-def _draw_path_matrices(seed: int, paths: int, n_uniform: int,
-                        n_normal: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw all variates, one row per path: uniforms U and normals Z.
+def _check_seed(seed: int) -> None:
+    # SeedSequence splits integers into 32-bit words and pads a key to four
+    # words with zeros, so a seed past 32 bits would share a smaller one's streams
+    if not 0 <= seed < 2 ** 32:
+        raise ValueError(f"a nonnegative seed below 2**32 is required, got {seed}")
 
-    Slot j of kind k (0 uniform, 1 normal) is one stream per (seed, kind,
-    slot), Philox keyed by (seed, k, j) and filled in one bulk call; path
-    i reads element i of it.  So the first n rows do not depend on the
-    path count, nor the first columns on how many slots of a kind follow.
+
+def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, kind, *key).
+
+    The keys in use are (seed, 0, j), (seed, 1, j) and (seed, 2, kappa, j).
+    With the seed in one 32-bit word, the kind word tells the kinds apart
+    and the remaining words the keys of one kind, also once padded to four
+    words or split into 32-bit words.
     """
-    U = np.empty((n_uniform, paths))
-    Z = np.empty((n_normal, paths))
-    for kind, slots in enumerate((U, Z)):
-        for j, row in enumerate(slots):
-            g = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, kind, j))))
-            if kind:
-                g.standard_normal(out=row)
-            else:
-                g.random(out=row)
-    return U.T, Z.T
+    _check_seed(seed)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, kind, *key))))
+
+
+def _read(streams: list, count: int, normal: bool) -> np.ndarray:
+    """The next ``count`` values of each stream, one column per stream."""
+    out = np.empty((len(streams), count))
+    for g, row in zip(streams, out):
+        if normal:
+            g.standard_normal(out=row)
+        else:
+            g.random(out=row)
+    return out.T
+
+
+def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int):
+    """(start, stop, U, Z) for consecutive blocks of ``_PATH_BLOCK`` paths.
+
+    U holds uniform slots 0..n_uniform-1 and Z normal slots
+    0..n_normal-1 of paths start..stop-1, one row per path.  The
+    arguments are checked at the call, the blocks are read as they are
+    taken.
+    """
+    if paths <= 0:
+        raise ValueError("at least one path required")
+    _check_seed(seed)
+    uniform = [_stream(seed, 0, j) for j in range(n_uniform)]
+    normal = [_stream(seed, 1, j) for j in range(n_normal)]
+
+    def blocks():
+        for start in range(0, paths, _PATH_BLOCK):
+            stop = min(start + _PATH_BLOCK, paths)
+            yield (start, stop, _read(uniform, stop - start, False),
+                   _read(normal, stop - start, True))
+    return blocks()
+
+
+def _selector_cdf(probs: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(probs)
+    return cum / cum[-1]
 
 
 def _draw_tau(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms to child selectors by inverse CDF."""
-    cum = np.cumsum(probs)
-    cum = cum / cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), 3)
+    return np.minimum(np.searchsorted(_selector_cdf(probs), u, side="right"), 3)
 
 
 def _left_endpoint(cell_index: int, level: int) -> float:
@@ -289,8 +331,20 @@ class BridgeLeaf:
         return _bridge_covariance(self.local, self.level)
 
     def values(self, z: np.ndarray) -> np.ndarray:
-        """Bridge values at the positive-coordinate points from standard normals."""
-        return np.asarray(z, dtype=float) @ self.chol.T
+        """Bridge values at the positive-coordinate points from standard normals.
+
+        Row i is z[i] @ chol.T, summed in slot order by one elementwise
+        add per slot, so a row's value does not depend on how many rows
+        come with it, as it would through a BLAS product.  Fastest when
+        ``z.T`` is C-contiguous.
+        """
+        zt = np.asarray(z, dtype=float).T
+        if not self.dim:
+            return np.zeros(zt.shape[::-1])
+        out = self.chol[:, :1] * zt[0]
+        for j in range(1, self.dim):
+            out[j:] += self.chol[j:, j, None] * zt[j]
+        return out.T
 
 
 def _bridge_covariance(local: np.ndarray, level: int) -> np.ndarray:
@@ -326,7 +380,8 @@ class ProcessSampler:
     """Base for Monte Carlo samplers over a fixed set of index points.
 
     Subclasses declare how many uniform and normal variates one path
-    consumes and map pre-drawn rows to process values at every point.
+    reads at most and yield process values at every point, one block of
+    paths at a time.
     """
 
     points: np.ndarray
@@ -337,28 +392,24 @@ class ProcessSampler:
         """Declared E (X(s) - X(t))**2 for this process."""
         raise NotImplementedError
 
-    def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def _blocks(self, paths: int, seed: int):
+        """(start, stop, values of paths start..stop-1), block by block."""
         raise NotImplementedError
 
     def sample(self, paths: int, seed: int) -> np.ndarray:
         """Matrix of process values, one row per path, one column per point."""
-        if paths <= 0:
-            raise ValueError("at least one path required")
-        if seed < 0:
-            raise ValueError("a nonnegative seed is required")
-        U, Z = _draw_path_matrices(seed, paths, self.n_uniform_slots,
-                                   self.n_normal_slots)
-        return self._evaluate(U, Z)
+        blocks = self._blocks(paths, seed)  # checks the arguments first
+        out = np.empty((paths, self.points.size))
+        for start, stop, vals in blocks:
+            out[start:stop] = vals
+        return out
 
 
-def _row_groups(row: np.ndarray) -> list[tuple[int, np.ndarray | slice]]:
-    """(row, paths) for each distinct row, the paths in increasing order;
-    a slice when all share one row, so that reads are views and adds in place."""
-    if (row == row[0]).all():
-        return [(int(row[0]), slice(None))]
-    order = np.argsort(row, kind="stable")
-    cuts = np.flatnonzero(np.diff(row[order])) + 1
-    return list(zip(row[order[np.r_[0, cuts]]].tolist(), np.split(order, cuts)))
+def _runs(rows: np.ndarray):
+    """(row, start, stop) of each run of equal entries of ``rows``."""
+    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return zip(rows[starts].tolist(), starts, [*cuts, rows.size])
 
 
 class AdversarialSampler(ProcessSampler):
@@ -375,9 +426,12 @@ class AdversarialSampler(ProcessSampler):
     The construction lives on the partition's level-k cell rows:
     ``_levels[k]`` maps each row that paths reach to its skeleton law and
     the (slot, start, stop, left) segments of its nonempty children, next
-    to a (cells, 4) child-row array; ``_leaves`` maps rows to bridges.
+    to (cells, 4) arrays of child rows and of selector CDFs; ``_leaves``
+    maps rows to bridges.
     ``base_depth`` is taken as given, also past the separation depth;
-    ``build_adversarial_process`` clips it there.
+    ``build_adversarial_process`` clips it there.  A path reads five
+    uniform slots per level and the normal slots of the one bridge it
+    reaches.
     """
 
     def __init__(self, measure: DiscreteMeasure, base_depth: int):
@@ -406,52 +460,78 @@ class AdversarialSampler(ProcessSampler):
             first = np.searchsorted(starts, bounds)  # each parent's first child row
             slot = (keys % 4).astype(np.intp)
             table = {}
+            cdf = np.ones((bounds.size - 1, 4))
             for r in reached:
                 kids = range(first[r], first[r + 1])
                 skeleton = build_skeleton_variables(
                     child_masses[r], {int(slot[c]) for c in kids if good[c]})
                 table[r] = (skeleton, tuple((int(slot[c]), int(starts[c]), int(stops[c]),
                                              _left_endpoint(int(keys[c]), k)) for c in kids))
+                cdf[r] = _selector_cdf(skeleton.probs)
             child = np.full((bounds.size - 1, 4), -1, dtype=np.intp)
             parent = np.searchsorted(bounds, starts, side="right") - 1
             child[parent, slot] = np.where(masses > 0.0, np.arange(starts.size), -1)
-            self._levels.append((table, child))
+            self._levels.append((table, child, cdf))
             reached = np.flatnonzero(masses > 0.0).tolist()
         stops = np.r_[starts[1:], size]
         self._leaves = {r: _build_bridge(self.base_depth, int(keys[r]), self.points,
                                          int(starts[r]), int(stops[r])) for r in reached}
         self.bridges = tuple(self._leaves.values())
 
-    def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Process values, one level at a time over all paths.
+    def _blocks(self, paths: int, seed: int):
+        blocks = _path_blocks(seed, paths, self.n_uniform_slots, 0)
+        streams = {}  # leaf row -> the normal slots of its bridge, opened on first reach
 
-        Each path carries its cell row and multiplier down the levels; the
-        paths of a row are taken together, in increasing order.
+        def normals(r: int, count: int) -> np.ndarray:
+            if r not in streams:
+                b = self._leaves[r]
+                streams[r] = [_stream(seed, 2, b.cell_index, j) for j in range(b.dim)]
+            return _read(streams[r], count, True)
+
+        return ((start, stop, self._evaluate(U, normals)) for start, stop, U, _ in blocks)
+
+    def _evaluate(self, U: np.ndarray, normals) -> np.ndarray:
+        """Process values of one block of paths, one level at a time.
+
+        The selector uniforms fix each path's cell row at every level, as
+        ``SkeletonVariables.from_uniforms`` draws it.  Sorted stably by
+        leaf row, the paths of any cell are one run of rows, so every add
+        is to a slice; the paths reaching leaf row r take, in increasing
+        order, the next rows of ``normals(r, count)``.
         """
-        vals = np.zeros((U.shape[0], self.points.size))
-        row = np.zeros(U.shape[0], dtype=np.intp)
-        mult = np.ones(U.shape[0])
-        for level, (table, child) in enumerate(self._levels):
+        n = U.shape[0]
+        rows = [np.zeros(n, dtype=np.intp)]
+        for level, (_, child, cdf) in enumerate(self._levels):
+            # searchsorted(cdf[row], u, side="right") capped at 3, path by path
+            row, u = rows[-1], U[:, 5 * level]
+            tau = (cdf[row, 0] <= u).astype(np.intp) + (cdf[row, 1] <= u) + (cdf[row, 2] <= u)
+            rows.append(child[row, tau])
+        order = np.argsort(rows[-1], kind="stable")
+        U = U[order]
+        vals = np.zeros((n, self.points.size))
+        mult = np.ones(n)
+        for level, (table, _, _) in enumerate(self._levels):
             down, up = 2.0 ** -(level + 1), 2.0 ** (level + 1)
-            for r, idx in _row_groups(row):
+            for r, a, b in _runs(rows[level][order]):
                 sk, segments = table[r]
-                m = mult[idx]
-                tau, z = sk.from_uniforms(U[idx, 5 * level:5 * level + 5])
+                m = mult[a:b]
+                tau, z = sk.from_uniforms(U[a:b, 5 * level:5 * level + 5])
                 S = s_skeleton(z)
                 for j, start, stop, left in segments:
                     offs = (self.points[start:stop] - left)[None, :]
                     seg = up * offs * (S[:, j + 1, None] - S[:, j, None])
                     seg += down * S[:, j, None]
                     seg *= m[:, None]
-                    vals[idx, start:stop] += seg
-                row[idx] = child[r, tau]
-                mult[idx] = m / np.sqrt(sk.probs[tau])
-        for r, idx in _row_groups(row):
-            b = self._leaves[r]
-            if b.dim:
-                draws = Z[idx, :b.dim] @ b.chol.T
-                vals[idx, b.positions[0]:b.positions[-1] + 1] += mult[idx][:, None] * draws
-        return vals
+                    vals[a:b, start:stop] += seg
+                mult[a:b] = m / np.sqrt(sk.probs[tau])
+        for r, a, b in _runs(rows[-1][order]):
+            leaf = self._leaves[r]
+            if leaf.dim:
+                draws = leaf.values(normals(r, b - a))
+                vals[a:b, leaf.positions[0]:leaf.positions[-1] + 1] += mult[a:b, None] * draws
+        out = np.empty_like(vals)
+        out[order] = vals
+        return out
 
 
 def build_adversarial_process(measure: DiscreteMeasure,
@@ -488,9 +568,12 @@ class OrthogonalLift(ProcessSampler):
     def second_moment(self, s: float, t: float) -> float:
         return abs(s - t)
 
-    def _evaluate(self, U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        inner_vals = self.inner._evaluate(U, Z[:, :-1])
-        return inner_vals + Z[:, -1:] * self.points[None, :]
+    def _blocks(self, paths: int, seed: int):
+        # the linear term reads normal slot 0, which the adversarial sampler leaves alone
+        inner = self.inner._blocks(paths, seed)
+        lift = _path_blocks(seed, paths, 0, 1)
+        return ((start, stop, np.add(vals, Z * self.points, out=vals))
+                for (start, stop, vals), (_, _, _, Z) in zip(inner, lift))
 
 
 def second_moment_oracle(
@@ -589,16 +672,40 @@ class OrthonormalGenerator:
         freq = np.arange(1, n_terms + 1)
         return math.sqrt(2.0) * np.cos(2.0 * math.pi * U[:, :1] * freq[None, :])
 
+    def _blocks(self, n_terms: int, paths: int, seed: int):
+        """(start, stop, rows of paths start..stop-1), block by block."""
+        blocks = _path_blocks(seed, paths, self.uniform_slots(n_terms),
+                              self.normal_slots(n_terms))
+        return ((start, stop, self.rows(U, Z, n_terms)) for start, stop, U, Z in blocks)
+
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
-        U, Z = _draw_path_matrices(seed, paths, self.uniform_slots(n_terms),
-                                   self.normal_slots(n_terms))
-        return self.rows(U, Z, n_terms)
+        return np.concatenate([phi for _, _, phi in self._blocks(n_terms, paths, seed)])
 
 
 def _coefficient_sequence(coeffs) -> CoefficientSequence:
     if isinstance(coeffs, CoefficientSequence):
         return coeffs
     return CoefficientSequence.explicit(np.asarray(coeffs, dtype=float))
+
+
+def _per_path(blocks, paths: int, stat) -> np.ndarray:
+    """``stat`` of each block's values, one entry per path."""
+    out = np.empty(paths)
+    for start, stop, vals in blocks:
+        out[start:stop] = stat(vals)
+    return out
+
+
+def _partial_sum_stat(a: np.ndarray, generator: OrthonormalGenerator,
+                      paths: int, seed: int, stat) -> np.ndarray:
+    """``stat`` of each path's partial sums a_1 phi_1 + ... + a_m phi_m."""
+    def partial_sums(phi):
+        # in place: a fresh block per step would make the allocator hand its
+        # pages back and fault them in again, block after block
+        phi *= a
+        return stat(np.cumsum(phi, axis=1, out=phi))
+
+    return _per_path(generator._blocks(a.size, paths, seed), paths, partial_sums)
 
 
 def simulate_sup_square(
@@ -609,9 +716,8 @@ def simulate_sup_square(
 ) -> MCEstimate:
     """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
     a = _coefficient_sequence(coeffs).values
-    phi = generator.sample_matrix(a.size, paths, seed)
-    partial = np.cumsum(phi * a[None, :], axis=1)
-    stat = (partial ** 2).max(axis=1)
+    stat = _partial_sum_stat(a, generator, paths, seed,
+                             lambda partial: (partial ** 2).max(axis=1))
     return MCEstimate.from_samples(stat, seed)
 
 
@@ -660,12 +766,14 @@ def verify_chaining_bound(
         rebuilt = build_index_set(seq)
     if not np.array_equal(measure.index_set.points, rebuilt.points):
         raise ValueError("measure must live on the index set of the coefficients")
-    phi = generator.sample_matrix(a.size, paths, seed)
-    partial = np.cumsum(phi * a[None, :], axis=1)
-    hi = np.maximum(partial.max(axis=1), 0.0)
-    lo = np.minimum(partial.min(axis=1), 0.0)
-    stat = rebuilt.scale * (hi - lo) ** 2
-    est = MCEstimate.from_samples(stat, seed)
+
+    def squared_range(partial):
+        hi = np.maximum(partial.max(axis=1), 0.0)
+        lo = np.minimum(partial.min(axis=1), 0.0)
+        return rebuilt.scale * (hi - lo) ** 2
+
+    est = MCEstimate.from_samples(
+        _partial_sum_stat(a, generator, paths, seed, squared_range), seed)
     strong_value, _ = strong_functional(measure)
     if not math.isfinite(strong_value):
         return ChainingReport(estimate=est, strong_value=strong_value,
@@ -719,8 +827,8 @@ def lower_bound_report(
     depth = sampler.inner.base_depth
     table = classify_good_indices(measure, max_level=depth)
     filtered = table.filtered_series()
-    vals = sampler.sample(paths, seed)
-    stat = (vals ** 2).max(axis=1)
+    stat = _per_path(sampler._blocks(paths, seed), paths,
+                     lambda vals: (vals ** 2).max(axis=1))
     est = MCEstimate.from_samples(stat, seed)
     threshold = LOWER_BOUND_FACTOR * math.sqrt(est.mean) + 3.0 * est.stderr
     return LowerBoundReport(filtered_sum=float(filtered), estimate=est,

@@ -268,6 +268,24 @@ def test_verify_reports_a_clipped_base_depth(capsys):
         "base depth 9 exceeds partition depth 1; clipping"]
 
 
+def test_verify_config_identifies_the_run(capsys):
+    # the base depth moves the filtered sum, so it must move the config too
+    docs = [run_json("verify", "--suite", "lowerbound", "--seed", "1", "--paths",
+                     "2000", "--base-depth", depth, "--no-timestamp", capsys=capsys)
+            for depth in ("2", "3")]
+    assert docs[0]["config"] != docs[1]["config"]
+    assert [d["config"]["base_depth"] for d in docs] == [2, 3]
+    assert docs[0]["config"]["coeffs"] == \
+        om.CoefficientSequence.from_json(json.loads(cli.DEFAULT_COEFFS)).to_json()
+    assert docs[0]["config"]["measure"] == "uniform"
+    assert docs[0]["config"]["generator"] == "gaussian"
+    doc = run_json("verify", "--suite", "chaining", "--seed", "1", "--paths", "500",
+                   "--generator", "trig", "--coeffs", "[0.5, 0.5]",
+                   "--no-timestamp", capsys=capsys)
+    assert doc["config"]["generator"] == "trigonometric"
+    assert doc["config"]["coeffs"] == om.CoefficientSequence.explicit([0.5, 0.5]).to_json()
+
+
 def test_verify_skeleton_builds_nothing_and_notes_nothing(capsys):
     # skeleton reads no coefficients, so their notes do not apply to it
     doc = run_json("verify", "--suite", "skeleton", "--coeffs",

@@ -9,9 +9,20 @@ import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm.processes import _build_bridge, _draw_path_matrices
+from orthomm import processes
+from orthomm.processes import _build_bridge, _partial_sum_stat, _path_blocks, _stream
 
 PATHS = 40_000
+
+
+def draw(seed: int, paths: int, n_uniform: int, n_normal: int):
+    """Every block of the block reader, stacked: uniforms U and normals Z."""
+    blocks = list(_path_blocks(seed, paths, n_uniform, n_normal))
+    assert [b[:2] for b in blocks] == \
+        [(a, min(a + processes._PATH_BLOCK, paths))
+         for a in range(0, paths, processes._PATH_BLOCK)]
+    return (np.vstack([U for _, _, U, _ in blocks]),
+            np.vstack([Z for _, _, _, Z in blocks]))
 
 
 def explicit_set(*values: float) -> om.IndexSet:
@@ -162,7 +173,7 @@ def test_skeleton_guarantee_matches_negative_part(seed):
 def test_skeleton_sampling_matches_law():
     # the five uniform slots one level of the adversarial sampler reads
     sk = om.build_skeleton_variables([0.4, 0.1, 0.4, 0.1], {0})
-    U, _ = _draw_path_matrices(5, 20_000, 5, 0)
+    U, _ = draw(5, 20_000, 5, 0)
     tau, z = sk.from_uniforms(U)
     freq = np.bincount(tau, minlength=4) / tau.size
     err = 5.0 * np.sqrt(sk.probs * (1 - sk.probs) / tau.size)
@@ -292,6 +303,20 @@ def test_bridge_empirical_covariance():
     draws = b.values(rng.standard_normal((PATHS, b.dim)))
     emp = draws.T @ draws / PATHS
     assert np.allclose(emp, b.covariance(), atol=4.0 / math.sqrt(PATHS))
+
+
+def test_bridge_values_do_not_depend_on_the_row_count():
+    # one 41-point bridge, as in the default pipeline's largest leaf; a
+    # BLAS product rounds rows differently for different row counts
+    points = np.r_[0.0, np.sort(np.random.default_rng(3).random(41))]
+    b = _build_bridge(0, 0, points, 0, points.size)
+    assert b.dim == 41
+    z = np.random.default_rng(4).standard_normal((b.dim, 5_000)).T
+    full = b.values(z)
+    assert np.allclose(full, z @ b.chol.T, rtol=0, atol=1e-12)
+    for n in [*range(1, 70), 128, 1000, 4096]:
+        assert b.values(z[:n]).tobytes() == full[:n].tobytes()
+        assert b.values(np.ascontiguousarray(z[-n:])).tobytes() == full[-n:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +460,22 @@ def test_lift_dominates_inner_supremum():
 
 
 def test_draws_do_not_depend_on_path_count():
-    U, Z = _draw_path_matrices(17, 9_000, 3, 4)
-    U2, Z2 = _draw_path_matrices(17, 20_000, 3, 4)
+    U, Z = draw(17, 9_000, 3, 4)
+    U2, Z2 = draw(17, 20_000, 3, 4)
     assert np.array_equal(U, U2[:9_000])
     assert np.array_equal(Z, Z2[:9_000])
 
 
 def test_extra_slots_keep_existing_columns():
-    U, Z = _draw_path_matrices(17, 500, 3, 4)
-    U2, Z2 = _draw_path_matrices(17, 500, 3, 4 + 5)
+    U, Z = draw(17, 500, 3, 4)
+    U2, Z2 = draw(17, 500, 3, 4 + 5)
     assert np.array_equal(U, U2) and np.array_equal(Z, Z2[:, :4])
-    U3, Z3 = _draw_path_matrices(17, 500, 3 + 5, 4)
+    U3, Z3 = draw(17, 500, 3 + 5, 4)
     assert np.array_equal(U, U3[:, :3]) and np.array_equal(Z, Z3)
 
 
 def test_each_slot_reads_its_own_stream():
-    U, Z = _draw_path_matrices(17, 500, 2, 2)
+    U, Z = draw(17, 500, 2, 2)
 
     def stream(*key):
         return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
@@ -460,7 +485,7 @@ def test_each_slot_reads_its_own_stream():
         assert np.array_equal(Z[:, j], stream(17, 1, j).standard_normal(500))
         # the two kinds of slot j are not one stream read twice
         assert not np.array_equal(U[:, j], stream(17, 1, j).random(500))
-    U2, Z2 = _draw_path_matrices(18, 500, 2, 2)
+    U2, Z2 = draw(18, 500, 2, 2)
     assert not np.any(U == U2) and not np.any(Z == Z2)
     cols = np.hstack([U, Z])
     assert len({c.tobytes() for c in cols.T}) == 4
@@ -468,13 +493,154 @@ def test_each_slot_reads_its_own_stream():
 
 def test_slot_columns_coarse_moments():
     paths = 20_000
-    U, Z = _draw_path_matrices(29, paths, 32, 32)
+    U, Z = draw(29, paths, 32, 32)
     std = np.hstack([(U - 0.5) * math.sqrt(12.0), Z])
     assert std.shape == (paths, 64)
     assert np.all(np.abs(std.mean(axis=0)) <= 5.0 / math.sqrt(paths))
     corr = np.corrcoef(std, rowvar=False)
     off = np.abs(corr[~np.eye(64, dtype=bool)])
     assert off.max() < 5.0 / math.sqrt(paths)
+
+
+def test_stream_read_in_chunks_equals_one_bulk_read():
+    for method in ("random", "standard_normal"):
+        bulk = getattr(_stream(23, 1, 4), method)(10_000)
+        g = _stream(23, 1, 4)
+        parts = [getattr(g, method)(n) for n in (1, 7, 64, 4096, 5832)]
+        assert np.concatenate(parts).tobytes() == bulk.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_block_reader_equals_bulk_streams(monkeypatch, block):
+    monkeypatch.setattr(processes, "_PATH_BLOCK", block)
+    U, Z = draw(31, 300, 2, 3)
+    for j in range(2):
+        assert U[:, j].tobytes() == _stream(31, 0, j).random(300).tobytes()
+    for j in range(3):
+        assert Z[:, j].tobytes() == _stream(31, 1, j).standard_normal(300).tobytes()
+
+
+def test_seed_sequence_pads_keys_and_splits_wide_seeds():
+    # why _stream refuses seeds outside [0, 2**32): SeedSequence pads a key
+    # to four words with zeros and splits an integer into 32-bit words
+    def state(*key):
+        return np.random.SeedSequence(key).generate_state(4).tolist()
+
+    assert state(11, 1, 5) == state(11, 1, 5, 0)
+    assert state(2 ** 32 + 5, 1, 3) == state(5, 1, 1, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 32, 2 ** 32 + 5])
+def test_seeds_outside_32_bits_are_refused(seed):
+    _, u, depth = uniform_setup(4, depth=1)
+    lift = om.OrthogonalLift(om.build_adversarial_process(u, depth))
+    for call in (lambda: _stream(seed, 0, 0),
+                 lambda: _path_blocks(seed, 10, 0, 0),
+                 lambda: lift.sample(10, seed),
+                 lambda: om.AdversarialSampler(u, 0).sample(10, seed),
+                 lambda: om.lower_bound_report(u, 1, 10, seed),
+                 lambda: om.simulate_sup_square([1.0], om.OrthonormalGenerator(), 10, seed),
+                 lambda: om.OrthonormalGenerator().sample_matrix(2, 10, seed)):
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            call()
+    assert _stream(2 ** 32 - 1, 0, 0).random() >= 0.0
+
+
+def test_stream_keys_of_a_deep_pipeline_run_are_distinct(monkeypatch, tmp_path):
+    # geometric(0.5, 40) separates at a depth past 16, where cell keys need
+    # two 32-bit words; every key the run reads must seed its own state
+    from orthomm import cli
+
+    keys = set()
+    original = processes._stream
+
+    def recording(seed, kind, *key):
+        keys.add((seed, kind, *key))
+        return original(seed, kind, *key)
+
+    monkeypatch.setattr(processes, "_stream", recording)
+    coeffs = '{"kind": "geometric", "ratio": 0.5, "count": 40}'
+    assert cli.main(["pipeline", "--coeffs", coeffs, "--seed", str(2 ** 32 - 1),
+                     "--paths", "300", "--adversarial-depth", "40",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    bridge_keys = [k for k in keys if k[1] == 2]
+    assert max(k[2] for k in bridge_keys) >= 2 ** 32
+    assert {k[1] for k in keys} == {0, 1, 2}
+    states = {np.random.SeedSequence(k).generate_state(4).tobytes() for k in keys}
+    assert len(states) == len(keys)
+
+
+# ---------------------------------------------------------------------------
+# path blocks
+
+
+def sparse_measure(count: int = 40, seed: int = 2) -> om.DiscreteMeasure:
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, count))
+    w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.5))
+    w[::7] = 0.0  # some cells of zero mass, which no path enters
+    return om.DiscreteMeasure.explicit(index, w)
+
+
+def chaining_stats(paths: int, seed: int) -> list[bytes]:
+    a = om.CoefficientSequence.power(1.0, 12).values
+    return [_partial_sum_stat(a, om.OrthonormalGenerator(kind), paths, seed,
+                              lambda partial: (partial ** 2).max(axis=1)).tobytes()
+            for kind in ("gaussian", "rademacher", "trigonometric")]
+
+
+def test_values_do_not_depend_on_the_block_size(monkeypatch):
+    lift = om.OrthogonalLift(om.AdversarialSampler(sparse_measure(), 4))
+    runs = []
+    for block in (1, 7, processes._PATH_BLOCK):
+        monkeypatch.setattr(processes, "_PATH_BLOCK", block)
+        runs.append((lift.inner.sample(600, 13).tobytes(), lift.sample(600, 13).tobytes(),
+                     chaining_stats(600, 13)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_first_paths_do_not_depend_on_the_path_count():
+    lift = om.OrthogonalLift(om.AdversarialSampler(sparse_measure(), 4))
+    n = processes._PATH_BLOCK + 905  # the 2n run splits the n paths differently
+    short, long = lift.sample(n, 5), lift.sample(2 * n, 5)
+    assert short.tobytes() == long[:n].tobytes()
+    assert chaining_stats(n, 5) == [s[:8 * n] for s in chaining_stats(2 * n, 5)]
+
+
+def test_lower_bound_statistic_is_the_lift_supremum(monkeypatch):
+    m = sparse_measure()
+    seen = []
+    from_samples = om.MCEstimate.from_samples.__func__
+    monkeypatch.setattr(om.MCEstimate, "from_samples", classmethod(
+        lambda cls, samples, seed: seen.append(samples) or from_samples(cls, samples, seed)))
+    rep = om.lower_bound_report(m, 3, 5_000, 7)
+    lift = om.OrthogonalLift(om.build_adversarial_process(m, 3))
+    assert seen[0].tobytes() == ((lift.sample(5_000, 7) ** 2).max(axis=1)).tobytes()
+    assert rep.estimate.paths == 5_000
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
+def test_monte_carlo_checks_hold_no_paths_by_points_matrix():
+    # the default pipeline's sizes: P = 65 points, 100k paths
+    seq = om.CoefficientSequence.power(1.0, 64)
+    index = om.build_index_set(seq)
+    m = om.make_measure(index, "uniform")
+    matrix = 100_000 * len(index) * 8  # 52 MB
+    lower = traced_peak(lambda: om.lower_bound_report(m, 3, 100_000, 11))
+    chain = traced_peak(lambda: om.verify_chaining_bound(
+        seq, m, om.OrthonormalGenerator(), 100_000, 11))
+    # a few blocks of 4096 rows and the per-path statistics: about 12 and 7 MB
+    assert lower < matrix / 3 and chain < matrix / 3
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import orthomm as om
 from orthomm.functionals import _level_masses
+from orthomm import processes
 from orthomm.processes import (
     _build_bridge,
-    _draw_path_matrices,
     _left_endpoint,
     s_skeleton,
 )
@@ -226,10 +226,28 @@ def ref_sampler_build(tree: om.PartitionTree, weights: np.ndarray,
     return top[0][1], tuple(bridges)
 
 
-def ref_sampler_evaluate(root: RefNode, points: np.ndarray, U: np.ndarray,
-                         Z: np.ndarray) -> np.ndarray:
-    """Process values; every node adds to its paths before its children do."""
-    paths = U.shape[0]
+def ref_stream(*key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
+def ref_bridge_values(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z @ chol.T, each entry summed in slot order."""
+    out = z[:, :1] * chol[:, 0]
+    for j in range(1, chol.shape[0]):
+        out[:, j:] = out[:, j:] + z[:, j:j + 1] * chol[j:, j]
+    return out
+
+
+def ref_sampler_evaluate(root: RefNode, points: np.ndarray, paths: int,
+                         seed: int, n_uniform: int) -> np.ndarray:
+    """Process values; every node adds to its paths before its children do.
+
+    Path i reads element i of uniform slot j, the stream (seed, 0, j).  A
+    bridge at cell key kappa reads normal slot j from the stream (seed, 2,
+    kappa, j), in one bulk read for all its paths in increasing order.
+    """
+    U = np.column_stack([ref_stream(seed, 0, j).random(paths) for j in range(n_uniform)]
+                        or [np.empty((paths, 0))])
     vals = np.zeros((paths, points.size))
     stack = [(root, np.arange(paths), np.ones(paths))]
     while stack:
@@ -237,7 +255,9 @@ def ref_sampler_evaluate(root: RefNode, points: np.ndarray, U: np.ndarray,
         if node.bridge is not None:
             b = node.bridge
             if b.dim:
-                draws = Z[idx, :b.dim] @ b.chol.T
+                z = np.column_stack([ref_stream(seed, 2, b.cell_index, j).standard_normal(idx.size)
+                                     for j in range(b.dim)])
+                draws = ref_bridge_values(b.chol, z)
                 vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
             continue
         k = node.level + 1
@@ -270,9 +290,8 @@ def assert_sampler_matches_reference(m: om.DiscreteMeasure, base_depth: int,
     adv = om.AdversarialSampler(m, base_depth)
     root, bridges = ref_sampler_build(tree, m.weights, base_depth)
     assert len(adv.bridges) == len(bridges)
-    U, Z = _draw_path_matrices(seed, paths, adv.n_uniform_slots, adv.n_normal_slots)
-    assert adv._evaluate(U, Z).tobytes() == \
-        ref_sampler_evaluate(root, tree.points, U, Z).tobytes()
+    assert adv.sample(paths, seed).tobytes() == \
+        ref_sampler_evaluate(root, tree.points, paths, seed, 5 * base_depth).tobytes()
 
 
 @given(index_sets(), st.integers(0, 2 ** 32 - 1), st.data())
@@ -289,6 +308,14 @@ def test_sampler_values_match_reference_at_subnormal_depths(base_depth):
     for w in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]):
         m = om.DiscreteMeasure.explicit(index, np.asarray(w))
         assert_sampler_matches_reference(m, base_depth, 200, 3)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sampler_values_match_reference_in_small_blocks(monkeypatch, block):
+    # blocks cut the paths of one leaf into several bridge reads
+    monkeypatch.setattr(processes, "_PATH_BLOCK", block)
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
+    assert_sampler_matches_reference(sparse_dirichlet(index, 8), 3, 150, 4)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -308,7 +335,7 @@ def test_sampler_nodes_match_per_parent_reference(seed):
             assert (bridge.cell_index, bridge.level) == (cell[0], 4)
             bridges.append(bridge)
             return
-        table, child = adv._levels[level]
+        table, child, _ = adv._levels[level]
         skeleton, segments = table[row]
         children = ref_children(points, cell, level + 1)
         masses = ref_masses(m.weights, children)
