@@ -391,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        parents=[common, measure_opt, mc_opt, optim_opt],
                        help="adversarial construction and the lower-bound "
                             "check")
-    p.add_argument("--depth", dest="base_depth", type=int, default=3,
+    p.add_argument("--depth", dest="base_depth", type=_at_least(1, "base depth"), default=3,
                    help="construction base depth")
     p.set_defaults(func=cmd_adversarial)
 
@@ -403,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=100)
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
                    default="gaussian")
-    p.add_argument("--base-depth", type=int, default=3)
+    p.add_argument("--base-depth", type=_at_least(1, "base depth"), default=3)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pipeline",
@@ -411,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="build, optimize, evaluate, and verify in one run")
     p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
                    default="gaussian")
-    p.add_argument("--adversarial-depth", type=int, default=3)
+    p.add_argument("--adversarial-depth", type=_at_least(1, "base depth"), default=3)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -39,7 +39,8 @@ _FLOOR = 1e-300    # keeps multiplicative iterates strictly positive
 class OptimizerOptions:
     max_iters: int = 2000
     tol: float = 1e-8          # relative objective improvement threshold
-    step0: float = 1.0         # step at iteration k is step0 / sqrt(k)
+    step0: float = 1.0         # minimize_strong: the constant exponent of every update;
+                               # maximize_weak: step step0 / sqrt(k) at iteration k
     restarts: int = 8          # maximize_weak only; uniform start included
     seed: int | None = None
 

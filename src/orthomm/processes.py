@@ -21,7 +21,11 @@ count, and adding slots leaves the existing ones unchanged.  Every Monte
 Carlo reduction runs on consecutive blocks of ``_PATH_BLOCK`` paths and
 keeps one statistic per path, so no paths x points matrix is held; reading
 a stream in blocks gives the values of one bulk read, and no step mixes
-values across paths, so results do not depend on the block size.
+values across paths, so results do not depend on the block size.  The
+partial sums run slot by slot and keep each path's running extremes, 0
+included.  The adversarial sampler holds a block one row per point with
+its paths sorted by leaf; the lower bound reduces it to each path's
+maximum and undoes the sort on that vector only.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ __all__ = [
 
 _JITTER = 1e-14
 _PATH_BLOCK = 4096  # paths per Monte Carlo block
+_FRAC = np.arange(5.0) / 4.0  # s_skeleton's interpolation weights
 
 
 def _check_seed(seed: int) -> None:
@@ -174,8 +179,7 @@ def s_skeleton(z: np.ndarray) -> np.ndarray:
         raise ValueError("last axis must hold exactly four increments")
     zeros = np.zeros(z.shape[:-1] + (1,))
     pre = np.concatenate([zeros, np.cumsum(z, axis=-1)], axis=-1)
-    frac = np.arange(5.0) / 4.0
-    return pre - frac * pre[..., 4:5]
+    return pre - _FRAC * pre[..., 4:5]
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +346,9 @@ class BridgeLeaf:
         if not self.dim:
             return np.zeros(zt.shape[::-1])
         out = self.chol[:, :1] * zt[0]
+        term = np.empty_like(out)  # each slot's products
         for j in range(1, self.dim):
-            out[j:] += self.chol[j:, j, None] * zt[j]
+            out[j:] += np.multiply(self.chol[j:, j, None], zt[j], out=term[j:])
         return out.T
 
 
@@ -393,15 +398,17 @@ class ProcessSampler:
         raise NotImplementedError
 
     def _blocks(self, paths: int, seed: int):
-        """(start, stop, values of paths start..stop-1), block by block."""
+        """(start, stop, vals, order), block by block: vals has one row per
+        point, its column i holds path start + order[i], and the next block
+        may be written over it."""
         raise NotImplementedError
 
     def sample(self, paths: int, seed: int) -> np.ndarray:
         """Matrix of process values, one row per path, one column per point."""
         blocks = self._blocks(paths, seed)  # checks the arguments first
         out = np.empty((paths, self.points.size))
-        for start, stop, vals in blocks:
-            out[start:stop] = vals
+        for start, stop, vals, order in blocks:
+            out[start:stop][order] = vals.T
         return out
 
 
@@ -426,8 +433,9 @@ class AdversarialSampler(ProcessSampler):
     The construction lives on the partition's level-k cell rows:
     ``_levels[k]`` maps each row that paths reach to its skeleton law and
     the (slot, start, stop, left) segments of its nonempty children, next
-    to (cells, 4) arrays of child rows and of selector CDFs; ``_leaves``
-    maps rows to bridges.
+    to a (cells, 4) array of child rows and row tables of the skeleton
+    laws: selector CDFs, root probabilities, pinned slot and pinned
+    values; ``_leaves`` maps rows to bridges.
     ``base_depth`` is taken as given, also past the separation depth;
     ``build_adversarial_process`` clips it there.  A path reads five
     uniform slots per level and the normal slots of the one bridge it
@@ -460,18 +468,24 @@ class AdversarialSampler(ProcessSampler):
             first = np.searchsorted(starts, bounds)  # each parent's first child row
             slot = (keys % 4).astype(np.intp)
             table = {}
-            cdf = np.ones((bounds.size - 1, 4))
+            cells = bounds.size - 1
+            cdf, root, pinned = np.ones((4, cells)), np.ones((cells, 4)), np.zeros((cells, 4))
+            pin = np.full(cells, 4, dtype=np.intp)  # slot 4: no pinned slot
             for r in reached:
                 kids = range(first[r], first[r + 1])
                 skeleton = build_skeleton_variables(
                     child_masses[r], {int(slot[c]) for c in kids if good[c]})
                 table[r] = (skeleton, tuple((int(slot[c]), int(starts[c]), int(stops[c]),
                                              _left_endpoint(int(keys[c]), k)) for c in kids))
-                cdf[r] = _selector_cdf(skeleton.probs)
-            child = np.full((bounds.size - 1, 4), -1, dtype=np.intp)
+                cdf[:, r] = _selector_cdf(skeleton.probs)
+                root[r] = np.sqrt(skeleton.probs)
+                if skeleton.n is not None:
+                    pin[r] = skeleton.n
+                    pinned[r, list(skeleton.pair)] = skeleton.x, skeleton.y
+            child = np.full((cells, 4), -1, dtype=np.intp)
             parent = np.searchsorted(bounds, starts, side="right") - 1
             child[parent, slot] = np.where(masses > 0.0, np.arange(starts.size), -1)
-            self._levels.append((table, child, cdf))
+            self._levels.append((table, child, (cdf, root.ravel(), pin, pinned.ravel())))
             reached = np.flatnonzero(masses > 0.0).tolist()
         stops = np.r_[starts[1:], size]
         self._leaves = {r: _build_bridge(self.base_depth, int(keys[r]), self.points,
@@ -488,50 +502,71 @@ class AdversarialSampler(ProcessSampler):
                 streams[r] = [_stream(seed, 2, b.cell_index, j) for j in range(b.dim)]
             return _read(streams[r], count, True)
 
-        return ((start, stop, self._evaluate(U, normals)) for start, stop, U, _ in blocks)
+        vals, buf = (np.empty(self.points.size * min(paths, _PATH_BLOCK)) for _ in range(2))
+        return ((start, stop, *self._evaluate(U, normals, vals, buf))
+                for start, stop, U, _ in blocks)
 
-    def _evaluate(self, U: np.ndarray, normals) -> np.ndarray:
+    def _evaluate(self, U: np.ndarray, normals, vals: np.ndarray,
+                  buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Process values of one block of paths, one level at a time.
 
         The selector uniforms fix each path's cell row at every level, as
-        ``SkeletonVariables.from_uniforms`` draws it.  Sorted stably by
-        leaf row, the paths of any cell are one run of rows, so every add
-        is to a slice; the paths reaching leaf row r take, in increasing
-        order, the next rows of ``normals(r, count)``.
+        ``SkeletonVariables.from_uniforms`` draws it, and the row tables
+        give every path's increments and skeleton in one pass per level.
+        Sorted stably by leaf row, the paths of any cell are one run of
+        columns, so every add is to a slice; the paths reaching leaf row r
+        take, in increasing order, the next rows of ``normals(r, count)``.
+        Returns the (points, paths) matrix, written over the storage of
+        ``vals`` (``buf`` is scratch), whose column i holds path
+        ``order[i]`` of the block, and ``order``.
         """
         n = U.shape[0]
-        rows = [np.zeros(n, dtype=np.intp)]
-        for level, (_, child, cdf) in enumerate(self._levels):
+        rows, keys = [np.zeros(n, dtype=np.intp)], []
+        for level, (_, child, (cdf, _, _, _)) in enumerate(self._levels):
             # searchsorted(cdf[row], u, side="right") capped at 3, path by path
             row, u = rows[-1], U[:, 5 * level]
-            tau = (cdf[row, 0] <= u).astype(np.intp) + (cdf[row, 1] <= u) + (cdf[row, 2] <= u)
-            rows.append(child[row, tau])
-        order = np.argsort(rows[-1], kind="stable")
-        U = U[order]
-        vals = np.zeros((n, self.points.size))
-        mult = np.ones(n)
-        for level, (table, _, _) in enumerate(self._levels):
+            tau = (cdf[0].take(row) <= u).astype(np.intp) + (cdf[1].take(row) <= u) \
+                + (cdf[2].take(row) <= u)
+            keys.append(4 * row + tau)
+            rows.append(child.take(keys[-1]))
+        leaf = rows[-1]
+        order = np.argsort(leaf.astype(np.min_scalar_type(leaf.max())),  # radix sort
+                           kind="stable")
+        U = U.T.take(order, axis=1)
+        vals = vals[:self.points.size * n].reshape(-1, n)
+        vals[:] = 0.0
+        mult = None  # all ones at the root
+        z, pre = np.empty((5, n)), np.zeros((5, n))  # z[4] takes the pin of unpinned rows
+        pinat = np.arange(n)
+        for level, (table, _, (_, root, pin, pinned)) in enumerate(self._levels):
             down, up = 2.0 ** -(level + 1), 2.0 ** (level + 1)
-            for r, a, b in _runs(rows[level][order]):
-                sk, segments = table[r]
-                m = mult[a:b]
-                tau, z = sk.from_uniforms(U[a:b, 5 * level:5 * level + 5])
-                S = s_skeleton(z)
-                for j, start, stop, left in segments:
-                    offs = (self.points[start:stop] - left)[None, :]
-                    seg = up * offs * (S[:, j + 1, None] - S[:, j, None])
-                    seg += down * S[:, j, None]
-                    seg *= m[:, None]
-                    vals[a:b, start:stop] += seg
-                mult[a:b] = m / np.sqrt(sk.probs[tau])
-        for r, a, b in _runs(rows[-1][order]):
-            leaf = self._leaves[r]
-            if leaf.dim:
-                draws = leaf.values(normals(r, b - a))
-                vals[a:b, leaf.positions[0]:leaf.positions[-1] + 1] += mult[a:b, None] * draws
-        out = np.empty_like(vals)
-        out[order] = vals
-        return out
+            row, key = rows[level][order], keys[level][order]
+            signs = np.greater_equal(U[5 * level + 1:5 * level + 5], 0.5, out=z[:4])
+            signs *= -2.0
+            signs += 1.0  # +1 below one half, else -1
+            z.reshape(-1)[pin.take(row) * n + pinat] = pinned.take(key)
+            pre[1] = z[0]
+            for j in range(1, 4):  # np.cumsum along the slots; row adds are faster
+                np.add(pre[j], z[j], out=pre[j + 1])
+            S = pre - _FRAC[:, None] * pre[4]  # s_skeleton, one row per slot
+            for r, a, b in _runs(row):
+                for j, start, stop, left in table[r][1]:
+                    offs = up * (self.points[start:stop] - left)
+                    seg = np.multiply(offs[:, None], S[j + 1, a:b] - S[j, a:b],
+                                      out=buf[:offs.size * (b - a)].reshape(-1, b - a))
+                    seg += down * S[j, a:b]
+                    if mult is not None:
+                        seg *= mult[a:b]
+                    vals[start:stop, a:b] += seg
+            mult = (1.0 if mult is None else mult) / root.take(key)
+        for r, a, b in _runs(leaf[order]):
+            bridge = self._leaves[r]
+            if bridge.dim:
+                draws = bridge.values(normals(r, b - a)).T
+                if mult is not None:
+                    draws *= mult[a:b]
+                vals[bridge.positions[0]:bridge.positions[-1] + 1, a:b] += draws
+        return vals, order
 
 
 def build_adversarial_process(measure: DiscreteMeasure,
@@ -572,8 +607,8 @@ class OrthogonalLift(ProcessSampler):
         # the linear term reads normal slot 0, which the adversarial sampler leaves alone
         inner = self.inner._blocks(paths, seed)
         lift = _path_blocks(seed, paths, 0, 1)
-        return ((start, stop, np.add(vals, Z * self.points, out=vals))
-                for (start, stop, vals), (_, _, _, Z) in zip(inner, lift))
+        return ((start, stop, np.add(vals, self.points[:, None] * Z[order, 0], out=vals), order)
+                for (start, stop, vals, order), (_, _, _, Z) in zip(inner, lift))
 
 
 def second_moment_oracle(
@@ -665,21 +700,22 @@ class OrthonormalGenerator:
         return n_terms if self.kind == "gaussian" else 0
 
     def rows(self, U: np.ndarray, Z: np.ndarray, n_terms: int) -> np.ndarray:
+        """phi_1 .. phi_n of a block of paths, one row per slot, one column per path."""
         if self.kind == "gaussian":
-            return Z[:, :n_terms]
+            return Z.T[:n_terms]
         if self.kind == "rademacher":
-            return np.where(U[:, :n_terms] < 0.5, 1.0, -1.0)
+            return np.where(U.T[:n_terms] < 0.5, 1.0, -1.0)
         freq = np.arange(1, n_terms + 1)
-        return math.sqrt(2.0) * np.cos(2.0 * math.pi * U[:, :1] * freq[None, :])
+        return math.sqrt(2.0) * np.cos(2.0 * math.pi * U.T[:1] * freq[:, None])
 
     def _blocks(self, n_terms: int, paths: int, seed: int):
-        """(start, stop, rows of paths start..stop-1), block by block."""
+        """(start, stop, slot-major rows of paths start..stop-1), block by block."""
         blocks = _path_blocks(seed, paths, self.uniform_slots(n_terms),
                               self.normal_slots(n_terms))
         return ((start, stop, self.rows(U, Z, n_terms)) for start, stop, U, Z in blocks)
 
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
-        return np.concatenate([phi for _, _, phi in self._blocks(n_terms, paths, seed)])
+        return np.concatenate([phi.T for _, _, phi in self._blocks(n_terms, paths, seed)])
 
 
 def _coefficient_sequence(coeffs) -> CoefficientSequence:
@@ -688,24 +724,24 @@ def _coefficient_sequence(coeffs) -> CoefficientSequence:
     return CoefficientSequence.explicit(np.asarray(coeffs, dtype=float))
 
 
-def _per_path(blocks, paths: int, stat) -> np.ndarray:
-    """``stat`` of each block's values, one entry per path."""
-    out = np.empty(paths)
-    for start, stop, vals in blocks:
-        out[start:stop] = stat(vals)
-    return out
+def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,
+                          paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's largest and smallest partial sum a_1 phi_1 + ... + a_m phi_m, 0 included.
 
-
-def _partial_sum_stat(a: np.ndarray, generator: OrthonormalGenerator,
-                      paths: int, seed: int, stat) -> np.ndarray:
-    """``stat`` of each path's partial sums a_1 phi_1 + ... + a_m phi_m."""
-    def partial_sums(phi):
-        # in place: a fresh block per step would make the allocator hand its
-        # pages back and fault them in again, block after block
-        phi *= a
-        return stat(np.cumsum(phi, axis=1, out=phi))
-
-    return _per_path(generator._blocks(a.size, paths, seed), paths, partial_sums)
+    The sums run slot by slot, one contiguous row per slot, so they are
+    the path-major cumulative sums bit for bit.
+    """
+    hi, lo = np.empty(paths), np.empty(paths)
+    for start, stop, phi in generator._blocks(a.size, paths, seed):
+        s = phi[0] * a[0]
+        h = np.maximum(s, 0.0, out=hi[start:stop])
+        l = np.minimum(s, 0.0, out=lo[start:stop])
+        for coef, row in zip(a[1:], phi[1:]):
+            row *= coef
+            s += row
+            np.maximum(h, s, out=h)
+            np.minimum(l, s, out=l)
+    return hi, lo
 
 
 def simulate_sup_square(
@@ -715,10 +751,9 @@ def simulate_sup_square(
     seed: int,
 ) -> MCEstimate:
     """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
-    a = _coefficient_sequence(coeffs).values
-    stat = _partial_sum_stat(a, generator, paths, seed,
-                             lambda partial: (partial ** 2).max(axis=1))
-    return MCEstimate.from_samples(stat, seed)
+    # squaring is monotone in |S|, so max_m S_m**2 is the larger square of the extremes
+    hi, lo = _partial_sum_extremes(_coefficient_sequence(coeffs).values, generator, paths, seed)
+    return MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
 
 
 @dataclass(frozen=True)
@@ -767,13 +802,8 @@ def verify_chaining_bound(
     if not np.array_equal(measure.index_set.points, rebuilt.points):
         raise ValueError("measure must live on the index set of the coefficients")
 
-    def squared_range(partial):
-        hi = np.maximum(partial.max(axis=1), 0.0)
-        lo = np.minimum(partial.min(axis=1), 0.0)
-        return rebuilt.scale * (hi - lo) ** 2
-
-    est = MCEstimate.from_samples(
-        _partial_sum_stat(a, generator, paths, seed, squared_range), seed)
+    hi, lo = _partial_sum_extremes(a, generator, paths, seed)
+    est = MCEstimate.from_samples(rebuilt.scale * (hi - lo) ** 2, seed)
     strong_value, _ = strong_functional(measure)
     if not math.isfinite(strong_value):
         return ChainingReport(estimate=est, strong_value=strong_value,
@@ -827,8 +857,9 @@ def lower_bound_report(
     depth = sampler.inner.base_depth
     table = classify_good_indices(measure, max_level=depth)
     filtered = table.filtered_series()
-    stat = _per_path(sampler._blocks(paths, seed), paths,
-                     lambda vals: (vals ** 2).max(axis=1))
+    stat = np.empty(paths)
+    for start, stop, vals, order in sampler._blocks(paths, seed):
+        stat[start:stop][order] = np.square(vals, out=vals).max(axis=0)
     est = MCEstimate.from_samples(stat, seed)
     threshold = LOWER_BOUND_FACTOR * math.sqrt(est.mean) + 3.0 * est.stderr
     return LowerBoundReport(filtered_sum=float(filtered), estimate=est,

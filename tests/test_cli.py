@@ -437,6 +437,28 @@ def test_paths_below_two_is_usage_error(command, paths, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["adversarial", "--seed", "1", "--depth"],
+    ["verify", "--suite", "bridge", "--seed", "1", "--base-depth"],
+    ["pipeline", "--seed", "1", "--adversarial-depth"],
+])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_base_depth_below_one_is_usage_error(argv, depth, capsys, monkeypatch):
+    # refused while parsing, before any stage or suite runs
+    def ran(*args, **kwargs):
+        pytest.fail("a stage ran")
+    for name in ("minimize_strong", "verify_chaining_bound", "lower_bound_report"):
+        monkeypatch.setattr(cli, name, ran)
+    for name in checks.SUITES:
+        monkeypatch.setattr(checks, f"suite_{name}", ran)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [depth])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "base depth must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["evaluate", "--paths", "2000"],
     ["evaluate", "--seed", "1"],
     ["evaluate", "--restarts", "4"],

@@ -10,7 +10,7 @@ import pytest
 
 import orthomm as om
 from orthomm import processes
-from orthomm.processes import _build_bridge, _partial_sum_stat, _path_blocks, _stream
+from orthomm.processes import _build_bridge, _partial_sum_extremes, _path_blocks, _stream
 
 PATHS = 40_000
 
@@ -583,9 +583,9 @@ def sparse_measure(count: int = 40, seed: int = 2) -> om.DiscreteMeasure:
 
 def chaining_stats(paths: int, seed: int) -> list[bytes]:
     a = om.CoefficientSequence.power(1.0, 12).values
-    return [_partial_sum_stat(a, om.OrthonormalGenerator(kind), paths, seed,
-                              lambda partial: (partial ** 2).max(axis=1)).tobytes()
-            for kind in ("gaussian", "rademacher", "trigonometric")]
+    return [np.maximum(hi ** 2, lo ** 2).tobytes()
+            for hi, lo in (_partial_sum_extremes(a, om.OrthonormalGenerator(kind), paths, seed)
+                           for kind in ("gaussian", "rademacher", "trigonometric"))]
 
 
 def test_values_do_not_depend_on_the_block_size(monkeypatch):
@@ -616,6 +616,55 @@ def test_lower_bound_statistic_is_the_lift_supremum(monkeypatch):
     lift = om.OrthogonalLift(om.build_adversarial_process(m, 3))
     assert seen[0].tobytes() == ((lift.sample(5_000, 7) ** 2).max(axis=1)).tobytes()
     assert rep.estimate.paths == 5_000
+
+
+def path_major_rows(kind: str, terms: int, paths: int, seed: int) -> np.ndarray:
+    """phi of every path, one row per path, from the stacked blocks."""
+    gen = om.OrthonormalGenerator(kind)
+    U, Z = draw(seed, paths, gen.uniform_slots(terms), gen.normal_slots(terms))
+    if kind == "gaussian":
+        return Z[:, :terms]
+    if kind == "rademacher":
+        return np.where(U[:, :terms] < 0.5, 1.0, -1.0)
+    freq = np.arange(1, terms + 1)
+    return math.sqrt(2.0) * np.cos(2.0 * math.pi * U[:, :1] * freq[None, :])
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("terms", [1, 40, 64])
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "trigonometric"])
+def test_running_extremes_match_path_major_partial_sums(monkeypatch, kind, terms, block):
+    monkeypatch.setattr(processes, "_PATH_BLOCK", block)
+    a = om.CoefficientSequence.power(1.0, terms).values
+    partial = np.cumsum(path_major_rows(kind, terms, 300, 3) * a, axis=1)
+    hi, lo = _partial_sum_extremes(a, om.OrthonormalGenerator(kind), 300, 3)
+    assert np.maximum(hi ** 2, lo ** 2).tobytes() == (partial ** 2).max(axis=1).tobytes()
+    top = np.maximum(partial.max(axis=1), 0.0)
+    bottom = np.minimum(partial.min(axis=1), 0.0)
+    assert ((hi - lo) ** 2).tobytes() == ((top - bottom) ** 2).tobytes()
+
+
+def test_running_extremes_include_zero():
+    # the paths whose signs all agree have partial sums of one sign only
+    a = np.array([0.5, 0.25, 0.125])
+    phi = path_major_rows("rademacher", 3, 400, 9)
+    hi, lo = _partial_sum_extremes(a, om.OrthonormalGenerator("rademacher"), 400, 9)
+    neg, pos = (phi < 0).all(axis=1), (phi > 0).all(axis=1)
+    assert neg.any() and pos.any()
+    assert np.all(hi[neg] == 0.0) and np.all(lo[neg] == -0.875)
+    assert np.all(lo[pos] == 0.0) and np.all(hi[pos] == 0.875)
+
+
+def test_sampler_blocks_map_columns_to_paths(monkeypatch):
+    monkeypatch.setattr(processes, "_PATH_BLOCK", 97)
+    adv = om.AdversarialSampler(sparse_measure(), 3)
+    values = adv.sample(600, 13)
+    blocks = 0
+    for start, stop, vals, order in adv._blocks(600, 13):
+        assert np.array_equal(np.sort(order), np.arange(stop - start))
+        assert vals.T.tobytes() == values[start:stop][order].tobytes()
+        blocks += 1
+    assert blocks == 7
 
 
 def traced_peak(fn) -> int:
