@@ -33,7 +33,6 @@ from .optimize import (
 from .processes import (
     OrthonormalGenerator,
     lower_bound_report,
-    simulate_sup_square,
     verify_chaining_bound,
 )
 from .series import (
@@ -101,9 +100,8 @@ def _noting_warnings(notes: list[str]):
     notes += [str(w.message) for w in caught]
 
 
-def _build_objects(args):
-    """Coefficients, index set, collected warnings and the tail mass."""
-    seq = _parse_coeffs(args.coeffs)
+def _build_objects(seq: CoefficientSequence):
+    """Index set of ``seq``, collected warnings and the tail mass."""
     notes: list[str] = []
     with _noting_warnings(notes):
         index_set = build_index_set(seq)
@@ -111,7 +109,7 @@ def _build_objects(args):
     if tail is not None and math.isinf(tail):
         notes.append("square sum of the full coefficient family diverges; "
                      "truncated tail mass is infinite")
-    return seq, index_set, notes, tail
+    return index_set, notes, tail
 
 
 def _require_seed(args) -> int:
@@ -155,7 +153,7 @@ def _emit(args, command: str, config: dict, report: dict,
 
 
 def cmd_build(args) -> int:
-    seq, index_set, notes, tail = _build_objects(args)
+    index_set, notes, tail = _build_objects(_parse_coeffs(args.coeffs))
     tree = index_set.partition
     report = {
         "index_set": index_set.to_json(),
@@ -166,24 +164,24 @@ def cmd_build(args) -> int:
         "tail_mass": None if tail is None or math.isinf(tail) else tail,
         "warnings": notes,
     }
-    config = {"coeffs": seq.to_json()}
+    config = {"coeffs": index_set.coeffs.to_json()}
     _emit(args, "build", config, report)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    seq, index_set, notes, _ = _build_objects(args)
+    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, index_set, args)
-    rep = evaluate_functionals(measure, seq)
+    rep = evaluate_functionals(measure)
     report = rep.to_json()
     report["warnings"] = notes
-    config = {"coeffs": seq.to_json(), "measure": args.measure}
+    config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure}
     _emit(args, "evaluate", config, report, csv_rows=list(rep.per_level))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    seq, index_set, notes, _ = _build_objects(args)
+    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
     opts = _optimizer_options(args, restarts=args.restarts, seed=args.seed)
     if args.objective == "strong":
         report = minimize_strong(index_set, opts).to_json()
@@ -192,7 +190,7 @@ def cmd_optimize(args) -> int:
     else:
         report = duality_gap_report(index_set, opts).to_json()
     report["warnings"] = notes
-    config = {"coeffs": seq.to_json(), "objective": args.objective,
+    config = {"coeffs": index_set.coeffs.to_json(), "objective": args.objective,
               "max_iters": opts.max_iters, "tol": opts.tol,
               "restarts": opts.restarts, "seed": opts.seed}
     _emit(args, "optimize", config, report)
@@ -201,19 +199,18 @@ def cmd_optimize(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _require_seed(args)
-    seq, index_set, notes, _ = _build_objects(args)
+    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, index_set, args)
     generator = OrthonormalGenerator(args.generator)
-    sup = simulate_sup_square(seq, generator, args.paths, seed)
-    chain = verify_chaining_bound(seq, measure, generator, args.paths, seed)
+    chain = verify_chaining_bound(measure, generator, args.paths, seed)
     report = {
-        "sup_square": sup.to_json(),
+        "sup_square": chain.sup_square.to_json(),
         "chaining": chain.to_json(),
         "generator": generator.kind,
         "warnings": notes,
         "passed": chain.passed,
     }
-    config = {"coeffs": seq.to_json(), "generator": generator.kind,
+    config = {"coeffs": index_set.coeffs.to_json(), "generator": generator.kind,
               "measure": args.measure, "paths": args.paths, "seed": seed}
     _emit(args, "simulate", config, report)
     return 0 if chain.passed else 1
@@ -221,13 +218,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_adversarial(args) -> int:
     seed = _require_seed(args)
-    seq, index_set, notes, _ = _build_objects(args)
+    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, index_set, args)
     with _noting_warnings(notes):
         rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
     report = rep.to_json()
     report["warnings"] = notes
-    config = {"coeffs": seq.to_json(), "measure": args.measure,
+    config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure,
               "depth": args.base_depth, "paths": args.paths, "seed": seed}
     _emit(args, "adversarial", config, report)
     return 0 if rep.passed else 1
@@ -236,33 +233,35 @@ def cmd_adversarial(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "skeleton":
         _require_seed(args)
-    # Built on first use: skeleton and lemma4 read neither --coeffs nor
-    # --measure, so they run whatever those hold.
-    built = functools.cache(lambda: _build_objects(args))
+    # --coeffs is parsed first, so a bad value stops the run before any
+    # suite; the index set and measure, which skeleton and lemma4 do not
+    # read, are built on first use.
+    seq = _parse_coeffs(args.coeffs)
+    built = functools.cache(lambda: _build_objects(seq))
     measure = functools.cache(
-        lambda: _parse_measure(args.measure, built()[1], args))
+        lambda: _parse_measure(args.measure, built()[0], args))
     suites = {
         "skeleton": checks.suite_skeleton,
         "lemma4": lambda: checks.suite_lemma4(args.seed),
         "bridge": lambda: checks.suite_bridge(measure(), args.paths,
                                               args.seed),
         "chaining": lambda: checks.suite_chaining(
-            built()[0], measure(), OrthonormalGenerator(args.generator),
-            args.paths, args.seed),
+            measure(), OrthonormalGenerator(args.generator), args.paths,
+            args.seed),
         "lowerbound": lambda: checks.suite_lowerbound(
             measure(), args.base_depth, args.paths, args.seed),
         "inequalities": lambda: checks.suite_inequalities(
-            built()[1], args.random_measures, args.seed),
+            built()[0], args.random_measures, args.seed),
     }
     names = checks.SUITES if args.suite == "all" else (args.suite,)
     notes: list[str] = []
     with _noting_warnings(notes):
         results = [suites[name]() for name in names]
     if built.cache_info().currsize:
-        notes[:0] = built()[2]
+        notes[:0] = built()[1]
     passed = all(r["passed"] for r in results)
     report = {"suites": results, "warnings": notes, "passed": passed}
-    config = {"suite": args.suite, "coeffs": _parse_coeffs(args.coeffs).to_json(),
+    config = {"suite": args.suite, "coeffs": seq.to_json(),
               "measure": args.measure, "base_depth": args.base_depth,
               "generator": OrthonormalGenerator(args.generator).kind,
               "seed": args.seed, "paths": args.paths,
@@ -275,15 +274,14 @@ def cmd_pipeline(args) -> int:
     seed = _require_seed(args)
     stage = "build"
     try:
-        seq, index_set, notes, tail = _build_objects(args)
+        index_set, notes, tail = _build_objects(_parse_coeffs(args.coeffs))
         stage = "optimize"
         opt = minimize_strong(index_set, _optimizer_options(args))
         stage = "evaluate"
-        fr = evaluate_functionals(opt.measure, seq)
+        fr = evaluate_functionals(opt.measure)
         stage = "chaining"
         generator = OrthonormalGenerator(args.generator)
-        chain = verify_chaining_bound(seq, opt.measure, generator, args.paths,
-                                      seed)
+        chain = verify_chaining_bound(opt.measure, generator, args.paths, seed)
         stage = "lowerbound"
         with _noting_warnings(notes):
             lower = lower_bound_report(opt.measure, args.adversarial_depth,
@@ -304,7 +302,7 @@ def cmd_pipeline(args) -> int:
         "warnings": notes,
         "passed": passed,
     }
-    config = {"coeffs": seq.to_json(),
+    config = {"coeffs": index_set.coeffs.to_json(),
               "generator": generator.kind, "paths": args.paths, "seed": seed,
               "adversarial_depth": args.adversarial_depth}
     _emit(args, "pipeline", config, report)

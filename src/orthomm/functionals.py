@@ -6,12 +6,13 @@ standard metric, the per-point integral
     f(t) = integral_0^sqrt(D) m(B(t, r^2))^(-1/2) dr,      D = diam(T),
 
 is piecewise constant in r between the square roots of the distinct
-distances from t, so it evaluates in closed form.  The strong functional
-is sup_t f(t), the weak functional averages f against m itself, and the
-quad-adic partition gives dyadic-sum upper bounds.  The averaged dyadic
-sum (``dyadic_bound``) and its good-index filtered form bound the weak
-functional only; the pointwise dyadic sum (``dyadic_sup_bound``) bounds
-the strong functional.
+distances from t, so it evaluates in closed form from the distance
+profile that the index set builds once and keeps (``IndexSet.profile``).
+The strong functional is sup_t f(t), the weak functional averages f
+against m itself, and the quad-adic partition gives dyadic-sum upper
+bounds.  The averaged dyadic sum (``dyadic_bound``) and its good-index
+filtered form bound the weak functional only; the pointwise dyadic sum
+(``dyadic_sup_bound``) bounds the strong functional.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import CoefficientSequence, DiscreteMeasure, IndexSet, PartitionTree
+from .series import CoefficientSequence, DiscreteMeasure, PartitionTree, _row_blocks
 
 __all__ = [
     "FILTER_WEIGHT",
@@ -63,55 +64,12 @@ COMBINED_BOUND_FORMULA = "K = (1 - L/2)**-1 * (L + 64 * sqrt(B))"
 
 
 # ---------------------------------------------------------------------------
-# distance profile (measure independent, stored on its index set)
-
-# Entries per block of rows.  A block's float temporaries take 512 KiB, so
-# they stay in cache where whole (P, P) temporaries did not: 31 rows at
-# P = 2049, and one block holding every row up to P = 256.
-_BLOCK_ITEMS = 1 << 16
-
-
-@dataclass(eq=False)
-class _DistanceProfile:
-    order: np.ndarray  # (P, P) permutation sorting each row's distances
-    seg: np.ndarray    # (P, P) increments of sqrt(distance), capped at sqrt(D)
-
-
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of range(n), each of _BLOCK_ITEMS // n rows or one."""
-    step = max(1, _BLOCK_ITEMS // n)
-    return [slice(a, a + step) for a in range(0, n, step)]
-
-
-def _profile(index_set: IndexSet) -> _DistanceProfile:
-    """The distance profile of ``index_set``, built once and kept on it.
-
-    It takes 16 P^2 bytes and lives exactly as long as the index set.
-    A stable argsort orders each row on its own, so building it one block
-    of rows at a time gives the same arrays as one whole-matrix sort.
-    """
-    prof = index_set.__dict__.get("_distance_profile")
-    if prof is not None:
-        return prof
-    pts = index_set.points
-    n = pts.size
-    root_d = math.sqrt(index_set.diameter)
-    order = np.empty((n, n), dtype=np.intp)
-    seg = np.empty((n, n))
-    for rows in _row_blocks(n):
-        dist = np.abs(pts[None, :] - pts[rows, None])
-        order[rows] = np.argsort(dist, axis=1, kind="stable")
-        sq = np.sqrt(np.take_along_axis(dist, order[rows], axis=1))
-        np.subtract(sq[:, 1:], sq[:, :-1], out=seg[rows, :-1])
-        np.subtract(root_d, sq[:, -1], out=seg[rows, -1])
-    prof = _DistanceProfile(order=order, seg=seg)
-    object.__setattr__(index_set, "_distance_profile", prof)
-    return prof
+# ball integrals over the distance profile of the index set
 
 
 def _integral_rows(measure: DiscreteMeasure) -> np.ndarray:
     """f(t) for every t in T; +inf rows where the point carries no mass."""
-    prof = _profile(measure.index_set)
+    prof = measure.index_set.profile
     w = measure.weights
     if w.size == 1:
         return np.zeros(1)
@@ -134,7 +92,7 @@ def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
     corresponding ball, which telescopes into a suffix sum over the
     distance-sorted order.
     """
-    prof = _profile(measure.index_set)
+    prof = measure.index_set.profile
     order = prof.order[row]
     seg = prof.seg[row]
     # the clip keeps mass**-1.5 inside float range for near-zero weights
@@ -386,10 +344,10 @@ class FunctionalReport:
         }
 
 
-def evaluate_functionals(
-    measure: DiscreteMeasure,
-    coeffs: CoefficientSequence | None = None,
-) -> FunctionalReport:
+def evaluate_functionals(measure: DiscreteMeasure) -> FunctionalReport:
+    """Every functional of ``measure``, and the Rademacher-Menchov value of
+    the coefficients behind its index set (None for a set given by points)."""
+    coeffs = measure.index_set.coeffs
     strong, argmax = strong_functional(measure)
     weak = weak_functional(measure)
     table = classify_good_indices(measure)

@@ -50,7 +50,6 @@ from .series import (
     DomainError,
     PartitionTree,
     _cell_index,
-    build_index_set,
 )
 
 __all__ = [
@@ -718,12 +717,6 @@ class OrthonormalGenerator:
         return np.concatenate([phi.T for _, _, phi in self._blocks(n_terms, paths, seed)])
 
 
-def _coefficient_sequence(coeffs) -> CoefficientSequence:
-    if isinstance(coeffs, CoefficientSequence):
-        return coeffs
-    return CoefficientSequence.explicit(np.asarray(coeffs, dtype=float))
-
-
 def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,
                           paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each path's largest and smallest partial sum a_1 phi_1 + ... + a_m phi_m, 0 included.
@@ -744,6 +737,11 @@ def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,
     return hi, lo
 
 
+def _sup_square(hi: np.ndarray, lo: np.ndarray, seed: int) -> MCEstimate:
+    # squaring is monotone in |S|, so max_m S_m**2 is the larger square of the extremes
+    return MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
+
+
 def simulate_sup_square(
     coeffs,
     generator: OrthonormalGenerator,
@@ -751,14 +749,17 @@ def simulate_sup_square(
     seed: int,
 ) -> MCEstimate:
     """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
-    # squaring is monotone in |S|, so max_m S_m**2 is the larger square of the extremes
-    hi, lo = _partial_sum_extremes(_coefficient_sequence(coeffs).values, generator, paths, seed)
-    return MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
+    if not isinstance(coeffs, CoefficientSequence):
+        coeffs = CoefficientSequence.explicit(np.asarray(coeffs, dtype=float))
+    return _sup_square(*_partial_sum_extremes(coeffs.values, generator, paths, seed), seed)
 
 
 @dataclass(frozen=True)
 class ChainingReport:
-    """Simulated supremum against the strong-functional upper bound."""
+    """Simulated supremum against the strong-functional upper bound.
+
+    ``sup_square``, left out of the JSON, is ``simulate_sup_square`` of the same paths.
+    """
 
     estimate: MCEstimate
     strong_value: float
@@ -766,6 +767,7 @@ class ChainingReport:
     margin: float
     passed: bool
     skipped: bool
+    sup_square: MCEstimate
 
     def to_json(self) -> dict:
         finite = math.isfinite(self.strong_value)
@@ -780,7 +782,6 @@ class ChainingReport:
 
 
 def verify_chaining_bound(
-    coeffs,
     measure: DiscreteMeasure,
     generator: OrthonormalGenerator,
     paths: int,
@@ -788,33 +789,26 @@ def verify_chaining_bound(
 ) -> ChainingReport:
     """Check E (sup - inf)**2 of the scaled partial sums against the bound.
 
-    The statistic is the squared range of the partial-sum path including
-    the starting value 0, scaled by the index-set normalization, and the
-    bound is CHAINING_CONSTANT times the squared strong functional of
-    the given measure.  An infinite strong value makes the bound vacuous
-    and the check is reported as skipped.
+    The partial sums are those of the coefficients behind the measure's
+    index set.  The statistic is the squared range of the partial-sum
+    path including the starting value 0, scaled by the index-set
+    normalization, and the bound is CHAINING_CONSTANT times the squared
+    strong functional of the measure.  An infinite strong value makes the
+    bound vacuous and the check is reported as skipped.
     """
-    seq = _coefficient_sequence(coeffs)
-    a = seq.values
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rebuilt = build_index_set(seq)
-    if not np.array_equal(measure.index_set.points, rebuilt.points):
-        raise ValueError("measure must live on the index set of the coefficients")
-
-    hi, lo = _partial_sum_extremes(a, generator, paths, seed)
-    est = MCEstimate.from_samples(rebuilt.scale * (hi - lo) ** 2, seed)
+    index_set = measure.index_set
+    if index_set.coeffs is None:
+        raise ValueError("the chaining check needs an index set built from coefficients")
+    hi, lo = _partial_sum_extremes(index_set.coeffs.values, generator, paths, seed)
+    sup = _sup_square(hi, lo, seed)
+    est = MCEstimate.from_samples(index_set.scale * (hi - lo) ** 2, seed)
     strong_value, _ = strong_functional(measure)
-    if not math.isfinite(strong_value):
-        return ChainingReport(estimate=est, strong_value=strong_value,
-                              bound=math.inf, margin=3.0 * est.stderr,
-                              passed=True, skipped=True)
-    bound = CHAINING_CONSTANT * strong_value ** 2
+    bound = CHAINING_CONSTANT * strong_value ** 2  # inf, so always passed, when skipped
     margin = 3.0 * est.stderr
     return ChainingReport(estimate=est, strong_value=strong_value,
                           bound=bound, margin=margin,
                           passed=bool(est.mean <= bound + margin),
-                          skipped=False)
+                          skipped=not math.isfinite(strong_value), sup_square=sup)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -186,6 +186,23 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 # index set
 
 
+# Entries per block of rows.  A block's float temporaries take 512 KiB, so
+# they stay in cache where whole (P, P) temporaries did not: 31 rows at
+# P = 2049, and one block holding every row up to P = 256.
+_BLOCK_ITEMS = 1 << 16
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of range(n), each of _BLOCK_ITEMS // n rows or one."""
+    step = max(1, _BLOCK_ITEMS // n)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
+class _DistanceProfile(NamedTuple):
+    order: np.ndarray  # (P, P) permutation sorting each row's distances
+    seg: np.ndarray    # (P, P) increments of sqrt(distance), capped at sqrt(D)
+
+
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """Strictly increasing points of [0, 1) with the applied scale factor.
@@ -195,16 +212,18 @@ class IndexSet:
     (all a_n > 0) but for fast-decaying tails the partial sums fall below
     one ulp of each other.
 
+    ``coeffs`` is the sequence the points were built from; only
+    ``build_index_set`` sets it, so it is None for a set given by points.
     The quad-adic partition (``partition``) and the distance profile
-    behind the strong and weak functionals (``functionals._profile``) are
-    built on first use and stored on the instance, so both are freed
-    with the index set.
+    behind the strong and weak functionals (``profile``) are built on
+    first use and stored on the instance, so both are freed with it.
     """
 
     points: np.ndarray
     scale: float
     raw_total: float
     merged_duplicates: int = 0
+    coeffs: CoefficientSequence | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -229,6 +248,26 @@ class IndexSet:
     def partition(self) -> "PartitionTree":
         """The quad-adic cells of this set, built once by ``build_partition``."""
         return build_partition(self)
+
+    @functools.cached_property
+    def profile(self) -> _DistanceProfile:
+        """Each row's distance order and sqrt-distance increments, 16 P^2 bytes.
+
+        A stable argsort orders each row on its own, so building it one
+        block of rows at a time gives the same arrays as one whole sort.
+        """
+        pts = self.points
+        n = pts.size
+        root_d = math.sqrt(self.diameter)
+        order = np.empty((n, n), dtype=np.intp)
+        seg = np.empty((n, n))
+        for rows in _row_blocks(n):
+            dist = np.abs(pts[None, :] - pts[rows, None])
+            order[rows] = np.argsort(dist, axis=1, kind="stable")
+            sq = np.sqrt(np.take_along_axis(dist, order[rows], axis=1))
+            np.subtract(sq[:, 1:], sq[:, :-1], out=seg[rows, :-1])
+            np.subtract(root_d, sq[:, -1], out=seg[rows, -1])
+        return _DistanceProfile(order, seg)
 
     def position(self, t: float) -> int:
         """Index of t in the point array; DomainError when absent."""
@@ -263,8 +302,10 @@ def build_index_set(coeffs: CoefficientSequence) -> IndexSet:
         )
     if distinct[-1] >= 1.0:
         raise InvalidCoefficientError("internal consistency error: scaled total >= 1")
-    return IndexSet(points=distinct, scale=scale, raw_total=raw_total,
-                    merged_duplicates=merged)
+    index_set = IndexSet(points=distinct, scale=scale, raw_total=raw_total,
+                         merged_duplicates=merged)
+    object.__setattr__(index_set, "coeffs", coeffs)
+    return index_set
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +439,6 @@ class DiscreteMeasure:
 
     def mass_at(self, t: float) -> float:
         return float(self.weights[self.index_set.position(t)])
-
-    def to_json(self) -> dict:
-        return {"weights": [float(x) for x in self.weights]}
 
 
 def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:

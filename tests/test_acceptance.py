@@ -163,7 +163,7 @@ def test_criterion_06_chaining_upper_bound():
             index = om.build_index_set(seq)
         opt = om.minimize_strong(index)
         for seed in range(10):
-            rep = om.verify_chaining_bound(seq, opt.measure,
+            rep = om.verify_chaining_bound(opt.measure,
                                            om.OrthonormalGenerator("gaussian"),
                                            paths=100_000, seed=seed)
             all_pass &= rep.passed and not rep.skipped

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import pytest
 
 import orthomm as om
 
-MODULES = ("series", "functionals", "optimize", "processes")
+MODULES = ("series", "functionals", "optimize", "processes", "checks")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -32,3 +33,31 @@ def test_package_names_come_from_module_lists():
     for name in MODULES:
         listed |= set(importlib.import_module(f"orthomm.{name}").__all__)
     assert set(om.__all__) <= listed
+
+
+def _public_callables():
+    for module in (om, importlib.import_module("orthomm.checks")):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                yield from ((f"{name}.{attr}", fn) for attr, fn in vars(obj).items()
+                            if callable(fn) and not attr.startswith("_"))
+                yield name, obj.__init__
+            elif callable(obj):
+                yield name, obj
+
+
+def _takes(param: inspect.Parameter, names: set, annotation: str) -> bool:
+    return param.name in names or annotation in str(param.annotation)
+
+
+PUBLIC_CALLABLES = dict(_public_callables())
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_CALLABLES))
+def test_no_public_function_takes_coefficients_beside_a_measure(name):
+    # a measure's coefficients are measure.index_set.coeffs, never an argument
+    params = inspect.signature(PUBLIC_CALLABLES[name]).parameters.values()
+    coeffs = any(_takes(p, {"coeffs", "seq"}, "CoefficientSequence") for p in params)
+    measure = any(_takes(p, {"measure"}, "DiscreteMeasure") for p in params)
+    assert not (coeffs and measure)

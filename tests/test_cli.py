@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm import checks, cli
+from orthomm import checks, cli, processes
 
 
 def run(*argv: str, capsys) -> tuple[int, str, str]:
@@ -206,6 +206,21 @@ def test_simulate_requires_seed(capsys):
     assert "seed" in err
 
 
+def test_simulate_draws_every_path_once(monkeypatch, capsys):
+    calls = []
+    extremes = processes._partial_sum_extremes
+
+    def counting(*args):
+        calls.append(args)
+        return extremes(*args)
+
+    monkeypatch.setattr(processes, "_partial_sum_extremes", counting)
+    doc = run_json("simulate", "--no-timestamp", "--coeffs", SMALL,
+                   "--paths", "500", "--seed", "7", capsys=capsys)
+    assert len(calls) == 1
+    assert doc["report"]["sup_square"]["paths"] == 500
+
+
 def test_adversarial_lower_bound_passes(capsys):
     doc = run_json("adversarial", "--no-timestamp", "--coeffs",
                    "[0.5, 0.5, 0.5]", "--depth", "1", "--paths", "2000",
@@ -306,15 +321,47 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["skeleton", "lemma4", "all"])
+def test_verify_rejects_bad_coeffs_before_any_suite(suite, capsys, monkeypatch):
+    def ran(*args, **kwargs):
+        pytest.fail("a suite ran")
+    for name in checks.SUITES:
+        monkeypatch.setattr(checks, f"suite_{name}", ran)
+    rc, out, err = run("verify", "--suite", suite, "--seed", "1", "--coeffs",
+                       '{"kind":"bogus"}', capsys=capsys)
+    assert rc == 2 and out == ""
+    assert "unknown coefficient kind: 'bogus'" in err
+
+
 def test_vacuous_suites_pass_on_singleton_sets():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
     measure = om.make_measure(index, "uniform")
     bridge = checks.suite_bridge(measure, paths=200, seed=1)
     assert bridge["passed"] is True and bridge["checks"] == []
-    chain = checks.suite_chaining(None, measure, om.OrthonormalGenerator(),
+    chain = checks.suite_chaining(measure, om.OrthonormalGenerator(),
                                   paths=200, seed=1)
     assert chain["passed"] is True and chain["checks"] == []
+
+
+def test_chaining_suite_is_vacuous_on_a_set_given_by_points():
+    index = om.IndexSet(points=np.array([0.0, 0.25, 0.5]), scale=1.0, raw_total=0.5)
+    chain = checks.suite_chaining(om.make_measure(index, "uniform"),
+                                  om.OrthonormalGenerator(), paths=200, seed=1)
+    assert chain == {"suite": "chaining", "checks": [], "passed": True}
+
+
+def test_inequalities_suite_counts_violations(monkeypatch):
+    # a dyadic "bound" below every weak value fails on every draw
+    monkeypatch.setattr(checks, "dyadic_bound", lambda measure: -1.0)
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    doc = checks.suite_inequalities(index, random_measures=4, seed=2)
+    by_name = {c["name"]: c for c in doc["checks"]}
+    dyadic = by_name.pop("weak_le_dyadic")
+    assert dyadic["violations"] == dyadic["draws"] == 4
+    assert dyadic["max_excess"] > 1.0 and dyadic["ok"] is False
+    assert all(c["ok"] for c in by_name.values())
+    assert doc["passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -550,3 +597,19 @@ def test_unreadable_coeffs_input_exit_two(capsys):
     rc, _, err = run("build", "--coeffs", "not json at all", capsys=capsys)
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_invalid_json_is_a_usage_error(inline, tmp_path, capsys):
+    text = '{"kind": "power",'
+    if not inline:
+        path = tmp_path / "coeffs.json"
+        path.write_text(text)
+        text = str(path)
+    message = ("invalid inline JSON for coefficients: " if inline else
+               f"invalid JSON in coefficients file {text}: ")
+    with pytest.raises(cli.CLIError, match=re.escape(message)):
+        cli._load_json_arg(text, "coefficients")
+    rc, out, err = run("build", "--coeffs", text, capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: " + message)

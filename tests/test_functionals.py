@@ -427,8 +427,7 @@ def test_chaining_constant_formula():
 def test_evaluate_functionals_uniform_four_grid():
     index = explicit_set(0.5, 0.5, 0.5)
     u = om.make_measure(index, "uniform")
-    seq = om.CoefficientSequence.explicit([0.5, 0.5, 0.5])
-    rep = om.evaluate_functionals(u, coeffs=seq)
+    rep = om.evaluate_functionals(u)
     assert rep.strong_value == 1.4763966378857263
     assert rep.strong_argmax == 0.0
     assert rep.dyadic_value == 2.0
@@ -441,6 +440,16 @@ def test_evaluate_functionals_uniform_four_grid():
     assert doc["chaining_constant"] == om.CHAINING_CONSTANT
     assert doc["per_level"][0] == {"k": 1, "full_sum": 2.0,
                                    "filtered_sum": 2.0, "good_count": 4}
+
+
+def test_evaluate_functionals_reads_the_coefficients_of_the_index_set():
+    seq = om.CoefficientSequence.power(1.0, 8)
+    u = om.make_measure(om.build_index_set(seq), "uniform")
+    assert om.evaluate_functionals(u).rm_value == om.rademacher_menchov(seq).value
+    points = om.IndexSet(points=u.index_set.points, scale=1.0, raw_total=1.0)
+    rep = om.evaluate_functionals(om.make_measure(points, "uniform"))
+    assert rep.rm_value is None and rep.to_json()["rademacher_menchov"] is None
+    assert rep.strong_value == om.evaluate_functionals(u).strong_value
 
 
 def test_evaluate_functionals_point_mass_reports_infinity():

@@ -687,7 +687,7 @@ def test_monte_carlo_checks_hold_no_paths_by_points_matrix():
     matrix = 100_000 * len(index) * 8  # 52 MB
     lower = traced_peak(lambda: om.lower_bound_report(m, 3, 100_000, 11))
     chain = traced_peak(lambda: om.verify_chaining_bound(
-        seq, m, om.OrthonormalGenerator(), 100_000, 11))
+        m, om.OrthonormalGenerator(), 100_000, 11))
     # a few blocks of 4096 rows and the per-path statistics: about 12 and 7 MB
     assert lower < matrix / 3 and chain < matrix / 3
 
@@ -777,7 +777,7 @@ def test_simulate_sup_square_needs_paths():
 def test_verify_chaining_bound_two_points():
     index = explicit_set(0.5)
     u = om.make_measure(index, "uniform")
-    rep = om.verify_chaining_bound([0.5], u, om.OrthonormalGenerator("gaussian"),
+    rep = om.verify_chaining_bound(u, om.OrthonormalGenerator("gaussian"),
                                    paths=PATHS, seed=6)
     assert not rep.skipped
     assert rep.strong_value == 0.7071067811865476
@@ -792,7 +792,7 @@ def test_verify_chaining_bound_two_points():
 def test_verify_chaining_bound_fails_with_a_tiny_constant(monkeypatch):
     monkeypatch.setattr("orthomm.processes.CHAINING_CONSTANT", 1e-9)
     u = om.make_measure(explicit_set(0.5), "uniform")
-    rep = om.verify_chaining_bound([0.5], u, om.OrthonormalGenerator("gaussian"),
+    rep = om.verify_chaining_bound(u, om.OrthonormalGenerator("gaussian"),
                                    paths=2_000, seed=6)
     assert rep.bound == 1e-9 * rep.strong_value ** 2
     assert not rep.skipped and not rep.passed
@@ -802,18 +802,34 @@ def test_verify_chaining_bound_fails_with_a_tiny_constant(monkeypatch):
 def test_verify_chaining_bound_point_mass_is_skipped():
     index = explicit_set(0.5)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    rep = om.verify_chaining_bound([0.5], pm, om.OrthonormalGenerator(),
+    rep = om.verify_chaining_bound(pm, om.OrthonormalGenerator(),
                                    paths=200, seed=1)
     assert rep.skipped and rep.passed
     assert math.isinf(rep.bound)
     assert rep.to_json()["bound"] is None
 
 
-def test_verify_chaining_bound_rejects_foreign_measure():
-    other = om.make_measure(explicit_set(0.5, 0.5), "uniform")
-    with pytest.raises(ValueError, match="live on the index set"):
-        om.verify_chaining_bound([0.5], other, om.OrthonormalGenerator(),
-                                 paths=200, seed=1)
+def test_adversarial_sampler_rejects_a_negative_base_depth():
+    _, u, _ = uniform_setup(4, depth=1)
+    with pytest.raises(ValueError, match="base depth must be nonnegative"):
+        om.AdversarialSampler(u, -1)
+
+
+def test_verify_chaining_bound_needs_coefficients():
+    index = om.IndexSet(points=np.array([0.0, 0.25]), scale=1.0, raw_total=0.25)
+    u = om.make_measure(index, "uniform")
+    with pytest.raises(ValueError, match="index set built from coefficients"):
+        om.verify_chaining_bound(u, om.OrthonormalGenerator(), paths=200, seed=1)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "trigonometric"])
+def test_chaining_report_carries_the_sup_square_of_its_paths(kind):
+    seq = om.CoefficientSequence.power(1.0, 9)
+    u = om.make_measure(om.build_index_set(seq), "uniform")
+    gen = om.OrthonormalGenerator(kind)
+    rep = om.verify_chaining_bound(u, gen, paths=5000, seed=4)
+    assert rep.sup_square == om.simulate_sup_square(seq, gen, 5000, 4)
+    assert "sup_square" not in rep.to_json()
 
 
 def test_lower_bound_report_uniform_four_grid():

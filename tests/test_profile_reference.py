@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
-from orthomm.functionals import _integral_rows, _profile, _row_blocks, _subgradient_row
+from orthomm.functionals import _integral_rows, _subgradient_row
+from orthomm.series import _row_blocks
 
 MIB = 1 << 20
 
@@ -75,7 +76,7 @@ def measures(index: om.IndexSet, seed: int) -> list[om.DiscreteMeasure]:
 
 def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
     order, seg = ref_profile(index)
-    prof = _profile(index)
+    prof = index.profile
     assert prof.order.dtype == order.dtype
     np.testing.assert_array_equal(prof.order, order)
     np.testing.assert_array_equal(prof.seg, seg)
@@ -111,7 +112,7 @@ def test_tied_distances_put_the_left_point_first():
     pts = np.arange(67) / 128.0
     index = om.IndexSet(points=pts, scale=1.0, raw_total=float(pts[-1]))
     assert_matches_reference(index, seed=5)
-    order = _profile(index).order
+    order = index.profile.order
     rows = np.arange(1, 66)
     np.testing.assert_array_equal(order[rows, 0], rows)
     np.testing.assert_array_equal(order[rows, 1], rows - 1)
@@ -131,7 +132,7 @@ def test_random_point_sets_match_dense_reference(values, seed):
 def test_profile_is_freed_with_its_index_set():
     index = power_set(65)
     om.strong_functional(om.DiscreteMeasure.uniform(index))
-    assert _profile(index) is _profile(index)
+    assert index.profile is index.profile
     ref = weakref.ref(index)
     del index
     gc.collect()
@@ -157,7 +158,7 @@ def test_integral_rows_work_in_bounded_memory():
     index = power_set(2049)
     m = om.DiscreteMeasure.uniform(index)
     cold = _peak_above_start(lambda: _integral_rows(m))
-    prof = _profile(index)
+    prof = index.profile
     assert cold <= prof.order.nbytes + prof.seg.nbytes + 4 * MIB
     warm = _peak_above_start(lambda: _integral_rows(m))
     assert warm <= 4 * MIB

@@ -93,6 +93,30 @@ def test_tail_mass_explicit_is_unknown():
     assert om.CoefficientSequence.explicit([0.5]).tail_mass() is None
 
 
+@pytest.mark.parametrize("ratio", [1.0, 2.0])
+def test_tail_mass_geometric_divergent(ratio):
+    assert om.CoefficientSequence.geometric(ratio, 8).tail_mass() == math.inf
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (om.CoefficientSequence.power, (1.0, 0), "at least one coefficient required"),
+    (om.CoefficientSequence.geometric, (0.5, 0), "at least one coefficient required"),
+    (om.CoefficientSequence.geometric, (0.0, 4), "geometric ratio must be positive"),
+    (om.CoefficientSequence.from_json, ([0.5],), "coefficient input must be a JSON object"),
+    (om.CoefficientSequence.from_json, ({"kind": "bogus"},),
+     "unknown coefficient kind: 'bogus'"),
+    (om.CoefficientSequence.from_json,
+     ({"kind": "power", "exponent": 1.0, "count": 4, "ratio": 0.5},),
+     r"unknown keys in coefficient input: \['ratio'\]"),
+    (om.CoefficientSequence.from_json, ({"kind": "explicit"},),
+     "explicit coefficients need 'values'"),
+], ids=["power-count", "geometric-count", "geometric-ratio", "json-list",
+        "json-kind", "json-keys", "json-values"])
+def test_coefficient_input_rejections(make, args, message):
+    with pytest.raises(om.InvalidCoefficientError, match=message):
+        make(*args)
+
+
 # ---------------------------------------------------------------------------
 # index sets
 
@@ -149,6 +173,28 @@ def test_index_set_inside_unit_interval(values):
     assert index.points[0] == 0.0
     assert index.points[-1] < 1.0
     assert np.all(np.diff(index.points) > 0)
+
+
+@pytest.mark.parametrize("points, message", [
+    ([], "index set must start at 0"),
+    ([0.25, 0.5], "index set must start at 0"),
+    ([0.0, 0.5, 0.5], "index set points must strictly increase"),
+    ([0.0, 1.0], "index set points must stay below 1"),
+], ids=["empty", "no-zero", "repeat", "one"])
+def test_index_set_rejects_bad_points(points, message):
+    with pytest.raises(om.InvalidCoefficientError, match=message):
+        om.IndexSet(points=np.array(points), scale=1.0, raw_total=1.0)
+
+
+def test_index_set_keeps_the_coefficients_it_was_built_from():
+    seq = om.CoefficientSequence.power(1.0, 8)
+    assert om.build_index_set(seq).coeffs is seq
+    index = om.IndexSet(points=np.array([0.0, 0.25]), scale=1.0, raw_total=0.25)
+    assert index.coeffs is None
+    # only build_index_set pairs coefficients with the points they produce
+    with pytest.raises(TypeError, match="coeffs"):
+        om.IndexSet(points=np.array([0.0, 0.25]), scale=1.0, raw_total=0.25,
+                    coeffs=seq)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +265,11 @@ def test_level_cells_beyond_stored_depth():
     assert deep.max() == 1
 
 
+def test_cell_arrays_reject_negative_levels():
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        explicit_set(0.5).partition.cell_arrays(-1)
+
+
 def test_cell_masses_sum_to_one():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     tree = om.build_partition(index)
@@ -248,13 +299,30 @@ def test_partition_is_built_once_per_index_set(monkeypatch):
     assert len(calls) == 1 and calls[0] is index
 
 
+def test_profile_is_built_once_per_index_set(monkeypatch):
+    calls = []
+    blocks = om.series._row_blocks
+
+    def counting(n):
+        calls.append(n)
+        return blocks(n)
+
+    monkeypatch.setattr("orthomm.series._row_blocks", counting)
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
+    assert index.profile is index.profile
+    m = om.make_measure(index, "uniform")
+    om.evaluate_functionals(m)
+    om.minimize_strong(index, om.OptimizerOptions(max_iters=5))
+    assert calls == [17]
+
+
 def test_index_set_is_freed_with_its_partition_and_profile():
     # without the cycle collector, only a reference cycle keeps it alive
     gc.disable()
     try:
         index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
         om.evaluate_functionals(om.make_measure(index, "uniform"))
-        assert {"partition", "_distance_profile"} <= set(vars(index))
+        assert {"partition", "profile"} <= set(vars(index))
         ref = weakref.ref(index)
         del index
         assert ref() is None
@@ -297,6 +365,28 @@ def test_measure_spec_rejects_unknown_keys():
         om.make_measure(index, {"kind": "uniform", "bogus": 1})
     with pytest.raises(om.InvalidMeasureError):
         om.make_measure(index, {"kind": "no_such_kind"})
+
+
+@pytest.mark.parametrize("spec, message", [
+    (3, "measure input must be a name or JSON object"),
+    ({"kind": "point_mass"}, "point_mass measure needs 'at'"),
+    ({"kind": "explicit"}, "explicit measure needs 'weights'"),
+    ({"kind": "dirichlet_random"}, "dirichlet_random measure needs 'seed'"),
+], ids=["number", "point-mass", "explicit", "dirichlet"])
+def test_measure_spec_rejects_incomplete_input(spec, message):
+    with pytest.raises(om.InvalidMeasureError, match=message):
+        om.make_measure(explicit_set(0.5), spec)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([1.0], "weight count must match index set size"),
+    ([math.nan, 1.0], "weights must be finite and nonnegative"),
+    ([-0.5, 1.5], "weights must be finite and nonnegative"),
+    ([0.5, 0.4], "weights must sum to 1 within 1e-12"),
+], ids=["count", "nan", "negative", "sum"])
+def test_measure_constructor_rejects_bad_weights(weights, message):
+    with pytest.raises(om.InvalidMeasureError, match=message):
+        om.DiscreteMeasure(explicit_set(0.5), np.array(weights))
 
 
 def test_measure_rejects_bad_weights():
