@@ -6,13 +6,13 @@ sorted, optional timestamp suppressed by --no-timestamp so identical
 configs and seeds give byte-identical reports); CSV is available only
 for the per-level table of evaluate.  Exit codes: 0 success, 1 a
 verification check failed, 2 usage or input error.  The suites of
-verify live in ``orthomm.checks``.
+verify live in ``orthomm.checks``.  Subcommands return their report;
+``main`` alone captures warnings and writes output.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
@@ -79,8 +79,7 @@ def _parse_coeffs(arg: str) -> CoefficientSequence:
 
 
 def _optimizer_options(args, **extra) -> OptimizerOptions:
-    return OptimizerOptions(max_iters=args.max_iters, tol=args.tol,
-                            step0=args.step0, **extra)
+    return OptimizerOptions(max_iters=args.max_iters, tol=args.tol, **extra)
 
 
 def _parse_measure(arg: str, index_set, args) -> DiscreteMeasure:
@@ -91,25 +90,15 @@ def _parse_measure(arg: str, index_set, args) -> DiscreteMeasure:
     return make_measure(index_set, _load_json_arg(arg, "measure"))
 
 
-@contextlib.contextmanager
-def _noting_warnings(notes: list[str]):
-    """Append the message of every warning the block raises to ``notes``."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    notes += [str(w.message) for w in caught]
-
-
 def _build_objects(seq: CoefficientSequence):
-    """Index set of ``seq``, collected warnings and the tail mass."""
-    notes: list[str] = []
-    with _noting_warnings(notes):
-        index_set = build_index_set(seq)
+    """Index set of ``seq`` and its tail mass, None unless finite."""
+    index_set = build_index_set(seq)
     tail = seq.tail_mass()
     if tail is not None and math.isinf(tail):
-        notes.append("square sum of the full coefficient family diverges; "
-                     "truncated tail mass is infinite")
-    return index_set, notes, tail
+        warnings.warn("square sum of the full coefficient family diverges; "
+                      "truncated tail mass is infinite")
+        tail = None
+    return index_set, tail
 
 
 def _require_seed(args) -> int:
@@ -122,12 +111,9 @@ def _require_seed(args) -> int:
 # output
 
 
-def _emit(args, command: str, config: dict, report: dict,
+def _emit(args, config: dict, report: dict,
           csv_rows: list | None = None) -> None:
-    if args.format == "csv":
-        if csv_rows is None:
-            raise CLIError("csv output is only available for the per-level "
-                           "table of evaluate")
+    if csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "full_sum", "filtered_sum", "good_count"])
@@ -135,7 +121,7 @@ def _emit(args, command: str, config: dict, report: dict,
             writer.writerow([k, repr(float(full)), repr(float(filt)), count])
         text = buf.getvalue()
     else:
-        payload = {"schema": SCHEMA, "command": command,
+        payload = {"schema": SCHEMA, "command": args.command,
                    "config": config, "report": report}
         if not args.no_timestamp:
             payload["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -149,11 +135,11 @@ def _emit(args, command: str, config: dict, report: dict,
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, config, report)
 
 
-def cmd_build(args) -> int:
-    index_set, notes, tail = _build_objects(_parse_coeffs(args.coeffs))
+def cmd_build(args):
+    index_set, tail = _build_objects(_parse_coeffs(args.coeffs))
     tree = index_set.partition
     report = {
         "index_set": index_set.to_json(),
@@ -161,27 +147,22 @@ def cmd_build(args) -> int:
             "separation_depth": tree.separation_depth,
             "cells_per_level": [len(starts) for starts in tree.levels],
         },
-        "tail_mass": None if tail is None or math.isinf(tail) else tail,
-        "warnings": notes,
+        "tail_mass": tail,
     }
-    config = {"coeffs": index_set.coeffs.to_json()}
-    _emit(args, "build", config, report)
-    return 0
+    return 0, {"coeffs": index_set.coeffs.to_json()}, report
 
 
-def cmd_evaluate(args) -> int:
-    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
-    measure = _parse_measure(args.measure, index_set, args)
-    rep = evaluate_functionals(measure)
-    report = rep.to_json()
-    report["warnings"] = notes
+def cmd_evaluate(args):
+    """Also returns the per-level rows when ``--format csv`` asks for them."""
+    index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
+    rep = evaluate_functionals(_parse_measure(args.measure, index_set, args))
     config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure}
-    _emit(args, "evaluate", config, report, csv_rows=list(rep.per_level))
-    return 0
+    rows = list(rep.per_level) if args.format == "csv" else None
+    return 0, config, rep.to_json(), rows
 
 
-def cmd_optimize(args) -> int:
-    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
+def cmd_optimize(args):
+    index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
     opts = _optimizer_options(args, restarts=args.restarts, seed=args.seed)
     if args.objective == "strong":
         report = minimize_strong(index_set, opts).to_json()
@@ -189,17 +170,15 @@ def cmd_optimize(args) -> int:
         report = maximize_weak(index_set, opts).to_json()
     else:
         report = duality_gap_report(index_set, opts).to_json()
-    report["warnings"] = notes
     config = {"coeffs": index_set.coeffs.to_json(), "objective": args.objective,
               "max_iters": opts.max_iters, "tol": opts.tol,
               "restarts": opts.restarts, "seed": opts.seed}
-    _emit(args, "optimize", config, report)
-    return 0
+    return 0, config, report
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     seed = _require_seed(args)
-    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
+    index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, index_set, args)
     generator = OrthonormalGenerator(args.generator)
     chain = verify_chaining_bound(measure, generator, args.paths, seed)
@@ -207,39 +186,33 @@ def cmd_simulate(args) -> int:
         "sup_square": chain.sup_square.to_json(),
         "chaining": chain.to_json(),
         "generator": generator.kind,
-        "warnings": notes,
         "passed": chain.passed,
     }
     config = {"coeffs": index_set.coeffs.to_json(), "generator": generator.kind,
               "measure": args.measure, "paths": args.paths, "seed": seed}
-    _emit(args, "simulate", config, report)
-    return 0 if chain.passed else 1
+    return (0 if chain.passed else 1), config, report
 
 
-def cmd_adversarial(args) -> int:
+def cmd_adversarial(args):
     seed = _require_seed(args)
-    index_set, notes, _ = _build_objects(_parse_coeffs(args.coeffs))
+    index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, index_set, args)
-    with _noting_warnings(notes):
-        rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
-    report = rep.to_json()
-    report["warnings"] = notes
+    rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
     config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure,
               "depth": args.base_depth, "paths": args.paths, "seed": seed}
-    _emit(args, "adversarial", config, report)
-    return 0 if rep.passed else 1
+    return (0 if rep.passed else 1), config, rep.to_json()
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.suite != "skeleton":
         _require_seed(args)
     # --coeffs is parsed first, so a bad value stops the run before any
     # suite; the index set and measure, which skeleton and lemma4 do not
     # read, are built on first use.
     seq = _parse_coeffs(args.coeffs)
-    built = functools.cache(lambda: _build_objects(seq))
+    index_set = functools.cache(lambda: _build_objects(seq)[0])
     measure = functools.cache(
-        lambda: _parse_measure(args.measure, built()[0], args))
+        lambda: _parse_measure(args.measure, index_set(), args))
     suites = {
         "skeleton": checks.suite_skeleton,
         "lemma4": lambda: checks.suite_lemma4(args.seed),
@@ -251,30 +224,24 @@ def cmd_verify(args) -> int:
         "lowerbound": lambda: checks.suite_lowerbound(
             measure(), args.base_depth, args.paths, args.seed),
         "inequalities": lambda: checks.suite_inequalities(
-            built()[0], args.random_measures, args.seed),
+            index_set(), args.random_measures, args.seed),
     }
     names = checks.SUITES if args.suite == "all" else (args.suite,)
-    notes: list[str] = []
-    with _noting_warnings(notes):
-        results = [suites[name]() for name in names]
-    if built.cache_info().currsize:
-        notes[:0] = built()[1]
+    results = [suites[name]() for name in names]
     passed = all(r["passed"] for r in results)
-    report = {"suites": results, "warnings": notes, "passed": passed}
     config = {"suite": args.suite, "coeffs": seq.to_json(),
               "measure": args.measure, "base_depth": args.base_depth,
               "generator": OrthonormalGenerator(args.generator).kind,
               "seed": args.seed, "paths": args.paths,
               "random_measures": args.random_measures}
-    _emit(args, "verify", config, report)
-    return 0 if passed else 1
+    return (0 if passed else 1), config, {"suites": results, "passed": passed}
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     seed = _require_seed(args)
     stage = "build"
     try:
-        index_set, notes, tail = _build_objects(_parse_coeffs(args.coeffs))
+        index_set, tail = _build_objects(_parse_coeffs(args.coeffs))
         stage = "optimize"
         opt = minimize_strong(index_set, _optimizer_options(args))
         stage = "evaluate"
@@ -283,9 +250,8 @@ def cmd_pipeline(args) -> int:
         generator = OrthonormalGenerator(args.generator)
         chain = verify_chaining_bound(opt.measure, generator, args.paths, seed)
         stage = "lowerbound"
-        with _noting_warnings(notes):
-            lower = lower_bound_report(opt.measure, args.adversarial_depth,
-                                       args.paths, seed)
+        lower = lower_bound_report(opt.measure, args.adversarial_depth,
+                                   args.paths, seed)
     except (CLIError, ValueError) as exc:
         raise CLIError(f"{stage}: {exc}")
     passed = chain.passed and lower.passed
@@ -293,20 +259,18 @@ def cmd_pipeline(args) -> int:
         "build": {
             "index_set": index_set.to_json(),
             "separation_depth": index_set.partition.separation_depth,
-            "tail_mass": None if tail is None or math.isinf(tail) else tail,
+            "tail_mass": tail,
         },
         "optimize": opt.to_json(),
         "evaluate": fr.to_json(),
         "chaining": chain.to_json(),
         "lower_bound": lower.to_json(),
-        "warnings": notes,
         "passed": passed,
     }
     config = {"coeffs": index_set.coeffs.to_json(),
               "generator": generator.kind, "paths": args.paths, "seed": seed,
               "adversarial_depth": args.adversarial_depth}
-    _emit(args, "pipeline", config, report)
-    return 0 if passed else 1
+    return (0 if passed else 1), config, report
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="coefficient spec: inline JSON or a file path")
     common.add_argument("--out", default=None, help="write the report here "
                         "instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for reproducible bytes")
     common.add_argument("--workers", type=_at_least(1, "workers"), default=1,
@@ -357,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     optim_opt = argparse.ArgumentParser(add_help=False)
     optim_opt.add_argument("--max-iters", type=int, default=2000)
     optim_opt.add_argument("--tol", type=float, default=1e-8)
-    optim_opt.add_argument("--step0", type=float, default=1.0)
 
     p = sub.add_parser("build", parents=[common],
                        help="index set and partition summary")
@@ -366,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate",
                        parents=[common, measure_opt, optim_opt],
                        help="functional values and per-level tables")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("optimize", parents=[common, optim_opt],
@@ -419,10 +382,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, config, report, *csv_rows = args.func(args)
+        report["warnings"] = [str(w.message) for w in caught]
+        _emit(args, config, report, *csv_rows)
     except (CLIError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -39,8 +39,6 @@ _FLOOR = 1e-300    # keeps multiplicative iterates strictly positive
 class OptimizerOptions:
     max_iters: int = 2000
     tol: float = 1e-8          # relative objective improvement threshold
-    step0: float = 1.0         # minimize_strong: the constant exponent of every update;
-                               # maximize_weak: step step0 / sqrt(k) at iteration k
     restarts: int = 8          # maximize_weak only; uniform start included
     seed: int | None = None
 
@@ -49,8 +47,6 @@ class OptimizerOptions:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.step0 <= 0.0:
-            raise ValueError("step0 must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
 
@@ -87,7 +83,7 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
 
     Any zero weight sends its own integral to infinity, so the minimax
     optimum is interior and characterized by all per-point integrals
-    being equal.  The update w <- w * f(t)**step0 / Z raises weight
+    being equal.  The update w <- w * f(t) / Z raises weight
     exactly where the integral is large and contracts the log-spread of
     f; iteration stops once the relative spread falls below tol or no
     iterate improved the best value by a relative tol for _PATIENCE
@@ -126,7 +122,7 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
         if it - last_gain >= _PATIENCE:
             converged = True
             break
-        w = np.maximum(w * vals ** opts.step0, _FLOOR)
+        w = np.maximum(w * vals, _FLOOR)
         w = w / w.sum()
     return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),
                               value=best_val, iterations=it,
@@ -176,7 +172,7 @@ def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) 
             if it - last_gain >= _PATIENCE:
                 converged = True
                 break
-            arg = (opts.step0 / math.sqrt(it)) * (vals - vals.max())
+            arg = (1.0 / math.sqrt(it)) * (vals - vals.max())
             w = np.maximum(w * np.exp(arg), _FLOOR)
             w /= w.sum()
     return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),

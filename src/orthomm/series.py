@@ -388,6 +388,16 @@ def build_partition(index_set: IndexSet) -> PartitionTree:
 # measures
 
 
+def _checked_weights(index_set: IndexSet, weights) -> np.ndarray:
+    """``weights`` as floats, one finite nonnegative value per point."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != index_set.points.shape:
+        raise InvalidMeasureError("weight count must match index set size")
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise InvalidMeasureError("weights must be finite and nonnegative")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """A probability measure on the points of an index set."""
@@ -396,11 +406,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != self.index_set.points.shape:
-            raise InvalidMeasureError("weight count must match index set size")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise InvalidMeasureError("weights must be finite and nonnegative")
+        w = _checked_weights(self.index_set, self.weights)
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise InvalidMeasureError("weights must sum to 1 within 1e-12")
         w = w.copy()
@@ -421,11 +427,7 @@ class DiscreteMeasure:
 
     @classmethod
     def explicit(cls, index_set: IndexSet, weights: Iterable[float]) -> "DiscreteMeasure":
-        w = np.asarray(list(weights), dtype=float)
-        if w.shape != index_set.points.shape:
-            raise InvalidMeasureError("weight count must match index set size")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise InvalidMeasureError("weights must be finite and nonnegative")
+        w = _checked_weights(index_set, list(weights))
         total = float(w.sum())
         if total <= 0.0:
             raise InvalidMeasureError("weights must have positive total")

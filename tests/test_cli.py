@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, schema, determinism."""
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,12 +74,6 @@ def test_build_empty_coefficients_exit_two(capsys):
     assert rc == 2
     assert out == ""
     assert "error:" in err and "at least one coefficient required" in err
-
-
-def test_build_rejects_csv_format(capsys):
-    rc, _, err = run("build", "--format", "csv", capsys=capsys)
-    assert rc == 2
-    assert "per-level" in err
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -483,20 +479,27 @@ def test_paths_below_two_is_usage_error(command, paths, capsys):
     assert "paths must be at least 2" in captured.err
 
 
+@pytest.fixture
+def no_stage_runs(monkeypatch):
+    """Fail the test if any stage of a subcommand or any suite runs."""
+    def ran(*args, **kwargs):
+        pytest.fail("a stage ran")
+    for name in ("build_index_set", "evaluate_functionals", "minimize_strong",
+                 "maximize_weak", "duality_gap_report", "verify_chaining_bound",
+                 "lower_bound_report"):
+        monkeypatch.setattr(cli, name, ran)
+    for name in checks.SUITES:
+        monkeypatch.setattr(checks, f"suite_{name}", ran)
+
+
 @pytest.mark.parametrize("argv", [
     ["adversarial", "--seed", "1", "--depth"],
     ["verify", "--suite", "bridge", "--seed", "1", "--base-depth"],
     ["pipeline", "--seed", "1", "--adversarial-depth"],
 ])
 @pytest.mark.parametrize("depth", ["0", "-1"])
-def test_base_depth_below_one_is_usage_error(argv, depth, capsys, monkeypatch):
+def test_base_depth_below_one_is_usage_error(argv, depth, capsys, no_stage_runs):
     # refused while parsing, before any stage or suite runs
-    def ran(*args, **kwargs):
-        pytest.fail("a stage ran")
-    for name in ("minimize_strong", "verify_chaining_bound", "lower_bound_report"):
-        monkeypatch.setattr(cli, name, ran)
-    for name in checks.SUITES:
-        monkeypatch.setattr(checks, f"suite_{name}", ran)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + [depth])
     assert exc.value.code == 2
@@ -521,14 +524,37 @@ def test_base_depth_below_one_is_usage_error(argv, depth, capsys, monkeypatch):
     ["evaluate", "--depth", "2"],
     ["verify", "--suite", "inequalities", "--seed", "1", "--depth", "2"],
     ["pipeline", "--seed", "1", "--depth", "auto"],
+    # only evaluate writes anything but JSON, so only it takes --format
+    ["build", "--format", "csv"],
+    ["pipeline", "--seed", "1", "--format", "json"],
 ])
-def test_options_nothing_reads_are_rejected(argv, capsys):
+def test_options_nothing_reads_are_rejected(argv, capsys, no_stage_runs):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (("evaluate", "--coeffs", "[0.5]"), "evaluate_functionals"),
+    (PIPELINE_ARGS, "evaluate_functionals"),
+    (("simulate", "--coeffs", "[0.5]", "--paths", "500", "--seed", "1"),
+     "verify_chaining_bound"),
+    (("optimize", "--coeffs", "[0.5]"), "minimize_strong"),
+], ids=["evaluate", "pipeline", "simulate", "optimize"])
+def test_every_warning_lands_in_the_report(argv, stage, monkeypatch, capsys):
+    original = getattr(cli, stage)
+
+    def warning(*args, **kwargs):
+        warnings.warn("probe", RuntimeWarning)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, warning)
+    rc, out, err = run(*argv, capsys=capsys)
+    assert rc == 0 and err == ""
+    assert "probe" in json.loads(out)["report"]["warnings"]
 
 
 def test_adversarial_depth_is_the_base_depth():
@@ -544,10 +570,14 @@ def test_benchmark_command_lines_parse(monkeypatch):
         cli._build_parser().parse_args(workloads.command(name, 1, "out.json"))
 
 
-def _readme_commands() -> list[str]:
+def _readme_cli_section() -> str:
     readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    text = readme.read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_commands() -> list[str]:
+    block = re.search(r"```sh\n(.*?)```", _readme_cli_section(), re.S).group(1)
     return [line for line in block.splitlines() if line.startswith("orthomm ")]
 
 
@@ -560,6 +590,17 @@ def test_readme_shows_every_subcommand():
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_command_lines_parse(line):
     cli._build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_option_table_matches_the_parser():
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", _readme_cli_section(), re.M)
+    listed = {name: set(re.findall(r"`(--[\w-]+)`", cell)) for name, cell in rows}
+    common = {"--coeffs", "--out", "--no-timestamp", "--workers", "-h", "--help"}
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {o for a in p._actions for o in a.option_strings} - common
+                for name, p in sub.choices.items()}
+    assert listed == accepted
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -35,8 +35,6 @@ def test_options_validation():
     with pytest.raises(ValueError):
         OptimizerOptions(tol=0.0)
     with pytest.raises(ValueError):
-        OptimizerOptions(step0=-1.0)
-    with pytest.raises(ValueError):
         OptimizerOptions(restarts=0)
 
 

@@ -378,15 +378,28 @@ def test_measure_spec_rejects_incomplete_input(spec, message):
         om.make_measure(explicit_set(0.5), spec)
 
 
-@pytest.mark.parametrize("weights, message", [
-    ([1.0], "weight count must match index set size"),
-    ([math.nan, 1.0], "weights must be finite and nonnegative"),
-    ([-0.5, 1.5], "weights must be finite and nonnegative"),
-    ([0.5, 0.4], "weights must sum to 1 within 1e-12"),
-], ids=["count", "nan", "negative", "sum"])
-def test_measure_constructor_rejects_bad_weights(weights, message):
+COUNT = "weight count must match index set size"
+FINITE = "weights must be finite and nonnegative"
+SUM = "weights must sum to 1 within 1e-12"
+
+
+@pytest.mark.parametrize("weights, message, explicit_message", [
+    ([1.0], COUNT, COUNT),
+    ([math.nan, 1.0], FINITE, FINITE),
+    ([-0.5, 1.5], FINITE, FINITE),
+    ([0.5, 0.4], SUM, None),   # explicit normalizes any positive total
+    ([0.0, 0.0], SUM, "weights must have positive total"),
+], ids=["count", "nan", "negative", "sum", "zero"])
+def test_measure_constructor_rejects_bad_weights(weights, message, explicit_message):
+    index = explicit_set(0.5)
     with pytest.raises(om.InvalidMeasureError, match=message):
-        om.DiscreteMeasure(explicit_set(0.5), np.array(weights))
+        om.DiscreteMeasure(index, np.array(weights))
+    if explicit_message is None:
+        assert om.DiscreteMeasure.explicit(index, weights).weights.tolist() == \
+            pytest.approx([5 / 9, 4 / 9], abs=1e-15)
+        return
+    with pytest.raises(om.InvalidMeasureError, match=explicit_message):
+        om.DiscreteMeasure.explicit(index, weights)
 
 
 def test_measure_rejects_bad_weights():
