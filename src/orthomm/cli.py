@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -37,8 +38,8 @@ from .processes import (
 )
 from .series import (
     CoefficientSequence,
-    DiscreteMeasure,
     build_index_set,
+    check_measure_spec,
     make_measure,
 )
 
@@ -82,12 +83,12 @@ def _optimizer_options(args, **extra) -> OptimizerOptions:
     return OptimizerOptions(max_iters=args.max_iters, tol=args.tol, **extra)
 
 
-def _parse_measure(arg: str, index_set, args) -> DiscreteMeasure:
-    if arg == "uniform":
-        return DiscreteMeasure.uniform(index_set)
+def _parse_measure(arg: str, args):
+    """Load and check ``arg`` now; return the builder of its measure on an index set."""
     if arg == "optimize":
-        return minimize_strong(index_set, _optimizer_options(args)).measure
-    return make_measure(index_set, _load_json_arg(arg, "measure"))
+        return lambda index_set: minimize_strong(index_set, _optimizer_options(args)).measure
+    spec = check_measure_spec(arg if arg == "uniform" else _load_json_arg(arg, "measure"))
+    return lambda index_set: make_measure(index_set, spec)
 
 
 def _build_objects(seq: CoefficientSequence):
@@ -155,7 +156,7 @@ def cmd_build(args):
 def cmd_evaluate(args):
     """Also returns the per-level rows when ``--format csv`` asks for them."""
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
-    rep = evaluate_functionals(_parse_measure(args.measure, index_set, args))
+    rep = evaluate_functionals(_parse_measure(args.measure, args)(index_set))
     config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure}
     rows = list(rep.per_level) if args.format == "csv" else None
     return 0, config, rep.to_json(), rows
@@ -179,7 +180,7 @@ def cmd_optimize(args):
 def cmd_simulate(args):
     seed = _require_seed(args)
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
-    measure = _parse_measure(args.measure, index_set, args)
+    measure = _parse_measure(args.measure, args)(index_set)
     generator = OrthonormalGenerator(args.generator)
     chain = verify_chaining_bound(measure, generator, args.paths, seed)
     report = {
@@ -196,7 +197,7 @@ def cmd_simulate(args):
 def cmd_adversarial(args):
     seed = _require_seed(args)
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
-    measure = _parse_measure(args.measure, index_set, args)
+    measure = _parse_measure(args.measure, args)(index_set)
     rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
     config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure,
               "depth": args.base_depth, "paths": args.paths, "seed": seed}
@@ -206,13 +207,13 @@ def cmd_adversarial(args):
 def cmd_verify(args):
     if args.suite != "skeleton":
         _require_seed(args)
-    # --coeffs is parsed first, so a bad value stops the run before any
-    # suite; the index set and measure, which skeleton and lemma4 do not
-    # read, are built on first use.
+    # --coeffs and --measure are parsed first, so a bad value stops the
+    # run before any suite; the index set and measure, which skeleton and
+    # lemma4 do not read, are built on first use.
     seq = _parse_coeffs(args.coeffs)
+    build_measure = _parse_measure(args.measure, args)
     index_set = functools.cache(lambda: _build_objects(seq)[0])
-    measure = functools.cache(
-        lambda: _parse_measure(args.measure, index_set(), args))
+    measure = functools.cache(lambda: build_measure(index_set()))
     suites = {
         "skeleton": checks.suite_skeleton,
         "lemma4": lambda: checks.suite_lemma4(args.seed),
@@ -288,6 +289,13 @@ def _at_least(minimum: int, name: str):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """Argparse type: a path in an existing directory, else a usage error."""
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"directory not found: {os.path.dirname(text)}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthomm",
@@ -300,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--coeffs", default=DEFAULT_COEFFS,
                         help="coefficient spec: inline JSON or a file path")
-    common.add_argument("--out", default=None, help="write the report here "
-                        "instead of stdout")
+    common.add_argument("--out", type=_out_path, default=None,
+                        help="write the report here instead of stdout")
     common.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp field for reproducible bytes")
     common.add_argument("--workers", type=_at_least(1, "workers"), default=1,

@@ -6,8 +6,8 @@ standard metric, the per-point integral
     f(t) = integral_0^sqrt(D) m(B(t, r^2))^(-1/2) dr,      D = diam(T),
 
 is piecewise constant in r between the square roots of the distinct
-distances from t, so it evaluates in closed form from the distance
-profile that the index set builds once and keeps (``IndexSet.profile``).
+distances from t, so the measure computes it in closed form from the
+index set's distance profile and keeps it (``DiscreteMeasure.integrals``).
 The strong functional is sup_t f(t), the weak functional averages f
 against m itself, and the quad-adic partition gives dyadic-sum upper
 bounds.  The averaged dyadic sum (``dyadic_bound``) and its good-index
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import CoefficientSequence, DiscreteMeasure, PartitionTree, _row_blocks
+from .series import CoefficientSequence, DiscreteMeasure, PartitionTree
 
 __all__ = [
     "FILTER_WEIGHT",
@@ -64,24 +64,7 @@ COMBINED_BOUND_FORMULA = "K = (1 - L/2)**-1 * (L + 64 * sqrt(B))"
 
 
 # ---------------------------------------------------------------------------
-# ball integrals over the distance profile of the index set
-
-
-def _integral_rows(measure: DiscreteMeasure) -> np.ndarray:
-    """f(t) for every t in T; +inf rows where the point carries no mass."""
-    prof = measure.index_set.profile
-    w = measure.weights
-    if w.size == 1:
-        return np.zeros(1)
-    vals = np.empty(w.size)
-    for rows in _row_blocks(w.size):
-        cum = np.cumsum(w[prof.order[rows]], axis=1)
-        np.maximum(cum, 1e-300, out=cum)
-        cum **= -0.5
-        cum *= prof.seg[rows]
-        vals[rows] = cum.sum(axis=1)
-    vals[w == 0.0] = math.inf
-    return vals
+# functionals
 
 
 def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
@@ -104,14 +87,9 @@ def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
     return g
 
 
-# ---------------------------------------------------------------------------
-# functionals
-
-
 def strong_functional_at(measure: DiscreteMeasure, t: float) -> float:
     """The ball-integral f(t); +inf when m({t}) = 0 and T is not a singleton."""
-    pos = measure.index_set.position(t)
-    return float(_integral_rows(measure)[pos])
+    return float(measure.integrals[measure.index_set.position(t)])
 
 
 def strong_functional(measure: DiscreteMeasure) -> tuple[float, float]:
@@ -120,14 +98,14 @@ def strong_functional(measure: DiscreteMeasure) -> tuple[float, float]:
     The sup is +inf as soon as any point carries zero mass, since the
     integrand at such a point diverges near r = 0.
     """
-    vals = _integral_rows(measure)
+    vals = measure.integrals
     pos = int(np.argmax(vals))
     return float(vals[pos]), float(measure.index_set.points[pos])
 
 
 def weak_functional(measure: DiscreteMeasure) -> float:
     """integral of f against m itself; zero-mass points contribute nothing."""
-    vals = _integral_rows(measure)
+    vals = measure.integrals
     w = measure.weights
     live = w > 0.0
     return float(np.dot(w[live], vals[live]))

@@ -8,7 +8,8 @@ the best iterate seen; it carries no optimality certificate, and when
 it stops for lack of progress its value can sit measurably above the
 minimum.  The weak functional has no such structure and its maximizer is
 a restart heuristic that likewise reports the best iterate seen with no
-optimality certificate.
+optimality certificate.  Every iterate is a ``DiscreteMeasure``; both
+return the best one, whose ``integrals`` later functionals reuse.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import _integral_rows, _subgradient_row, strong_functional, weak_functional
+from .functionals import _subgradient_row, strong_functional, weak_functional
 from .series import DiscreteMeasure, IndexSet
 
 __all__ = [
@@ -71,7 +72,7 @@ class OptimizationResult:
 
 def strong_subgradient(measure: DiscreteMeasure) -> np.ndarray:
     """Subgradient of the strong functional at the smallest-index argmax."""
-    vals = _integral_rows(measure)
+    vals = measure.integrals
     row = int(np.argmax(vals))
     if math.isinf(vals[row]):
         raise ValueError("subgradient undefined where the functional is infinite")
@@ -94,26 +95,23 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
     uniform starting value.
     """
     opts = options or OptimizerOptions()
-    n = len(index_set)
-    if n == 1:
-        m = DiscreteMeasure(index_set, np.ones(1))
+    m = DiscreteMeasure.uniform(index_set)
+    if len(index_set) == 1:
         return OptimizationResult(measure=m, value=0.0, iterations=0,
                                   converged=True, trace=())
-    w = np.full(n, 1.0 / n)
     best_val = math.inf
-    best_w = w
+    best = m
     trace = []
     last_gain = 0
-    it = 0
     converged = False
     for it in range(1, opts.max_iters + 1):
-        vals = _integral_rows(DiscreteMeasure(index_set, w))
+        vals = m.integrals
         val = float(vals.max())
         if val < best_val - opts.tol * max(1.0, abs(best_val)):
             last_gain = it
         if val < best_val:
             best_val = val
-            best_w = w
+            best = m
         trace.append(best_val)
         spread = float((vals.max() - vals.min()) / vals.max())
         if spread <= opts.tol:
@@ -122,10 +120,9 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
         if it - last_gain >= _PATIENCE:
             converged = True
             break
-        w = np.maximum(w * vals, _FLOOR)
-        w = w / w.sum()
-    return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),
-                              value=best_val, iterations=it,
+        w = np.maximum(m.weights * vals, _FLOOR)
+        m = DiscreteMeasure(index_set, w / w.sum())
+    return OptimizationResult(measure=best, value=best_val, iterations=it,
                               converged=converged, trace=tuple(trace))
 
 
@@ -151,32 +148,31 @@ def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) 
             rng = np.random.default_rng(child)
             starts.append(rng.dirichlet(np.ones(n)))
     best_val = -math.inf
-    best_w = starts[0]
+    best = None
     total_iters = 0
     converged = False
     trace: list[float] = []
     for w0 in starts:
-        w = np.maximum(np.asarray(w0, dtype=float), _FLOOR)
-        w /= w.sum()
+        w = np.maximum(w0, _FLOOR)
+        m = DiscreteMeasure(index_set, w / w.sum())
         last_gain = 0
         for it in range(1, opts.max_iters + 1):
             total_iters += 1
-            vals = _integral_rows(DiscreteMeasure(index_set, w))
-            val = float(np.dot(w, vals))
+            vals = m.integrals
+            val = float(np.dot(m.weights, vals))
             if val > best_val + opts.tol * max(1.0, abs(best_val)):
                 last_gain = it
             if val > best_val:
                 best_val = val
-                best_w = w.copy()
+                best = m
             trace.append(best_val)
             if it - last_gain >= _PATIENCE:
                 converged = True
                 break
             arg = (1.0 / math.sqrt(it)) * (vals - vals.max())
-            w = np.maximum(w * np.exp(arg), _FLOOR)
-            w /= w.sum()
-    return OptimizationResult(measure=DiscreteMeasure(index_set, best_w),
-                              value=best_val, iterations=total_iters,
+            w = np.maximum(m.weights * np.exp(arg), _FLOOR)
+            m = DiscreteMeasure(index_set, w / w.sum())
+    return OptimizationResult(measure=best, value=best_val, iterations=total_iters,
                               converged=converged, trace=tuple(trace))
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "build_index_set",
     "build_partition",
     "ball_mass",
+    "check_measure_spec",
     "make_measure",
 ]
 
@@ -442,9 +443,27 @@ class DiscreteMeasure:
     def mass_at(self, t: float) -> float:
         return float(self.weights[self.index_set.position(t)])
 
+    @functools.cached_property
+    def integrals(self) -> np.ndarray:
+        """Read-only f(t) = integral_0^sqrt(D) m(B(t, r^2))^(-1/2) dr for every
+        t in T, summed over the index set's ``profile``; +inf where the point
+        carries no mass.  Built on first use and freed with the measure."""
+        prof = self.index_set.profile
+        w = self.weights
+        vals = np.empty(w.size)
+        for rows in _row_blocks(w.size):  # a single point has seg 0, so f = 0
+            cum = np.cumsum(w[prof.order[rows]], axis=1)
+            np.maximum(cum, 1e-300, out=cum)
+            cum **= -0.5
+            cum *= prof.seg[rows]
+            vals[rows] = cum.sum(axis=1)
+        vals[w == 0.0] = math.inf
+        vals.setflags(write=False)
+        return vals
 
-def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:
-    """Build a measure from ``"uniform"`` or a ``{"kind": ...}`` object."""
+
+def check_measure_spec(spec: Mapping | str) -> Mapping:
+    """``spec`` as a checked ``{"kind": ...}`` object; needs no index set."""
     if isinstance(spec, str):
         spec = {"kind": spec}
     if not isinstance(spec, Mapping):
@@ -461,18 +480,22 @@ def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:
     extra = set(spec) - allowed[kind]
     if extra:
         raise InvalidMeasureError(f"unknown keys in measure input: {sorted(extra)}")
+    missing = allowed[kind] - set(spec)  # at most one key
+    if missing:
+        raise InvalidMeasureError(f"{kind} measure needs {missing.pop()!r}")
+    return spec
+
+
+def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:
+    """Build a measure from ``"uniform"`` or a ``{"kind": ...}`` object."""
+    spec = check_measure_spec(spec)
+    kind = spec["kind"]
     if kind == "uniform":
         return DiscreteMeasure.uniform(index_set)
     if kind == "point_mass":
-        if "at" not in spec:
-            raise InvalidMeasureError("point_mass measure needs 'at'")
         return DiscreteMeasure.point_mass(index_set, float(spec["at"]))
     if kind == "explicit":
-        if "weights" not in spec:
-            raise InvalidMeasureError("explicit measure needs 'weights'")
         return DiscreteMeasure.explicit(index_set, spec["weights"])
-    if "seed" not in spec:
-        raise InvalidMeasureError("dirichlet_random measure needs 'seed'")
     return DiscreteMeasure.dirichlet_random(index_set, int(spec["seed"]))
 
 

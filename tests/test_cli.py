@@ -126,6 +126,16 @@ def test_evaluate_optimized_measure(capsys):
     assert doc["report"]["strong"] == pytest.approx(math.sqrt(0.5), abs=1e-6)
 
 
+def test_evaluate_optimize_makes_one_integral_pass_per_iteration(capsys, count_builds):
+    # evaluate reuses the integrals the optimizer computed for its best iterate
+    index = om.build_index_set(om.CoefficientSequence.from_json(json.loads(SMALL)))
+    iterations = om.minimize_strong(index).iterations
+    calls = count_builds(om.DiscreteMeasure, "integrals")
+    run_json("evaluate", "--no-timestamp", "--coeffs", SMALL,
+             "--measure", "optimize", capsys=capsys)
+    assert len(calls) == iterations > 1
+
+
 def test_evaluate_measure_from_file(tmp_path, capsys):
     spec = tmp_path / "measure.json"
     spec.write_text('{"kind": "explicit", "weights": [3, 1]}')
@@ -329,6 +339,20 @@ def test_verify_rejects_bad_coeffs_before_any_suite(suite, capsys, monkeypatch):
     assert "unknown coefficient kind: 'bogus'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "skeleton", "--measure", '{"kind":"bogus"}'],
+     "unknown measure kind: 'bogus'"),
+    (["--suite", "inequalities", "--seed", "1", "--random-measures", "2",
+      "--measure", "nosuchfile.json"], "measure file not found: nosuchfile.json"),
+], ids=["bad-kind", "missing-file"])
+def test_verify_rejects_bad_measure_before_any_suite(argv, message, capsys,
+                                                     no_stage_runs):
+    # neither suite reads the measure, which is still loaded and checked
+    rc, out, err = run("verify", *argv, capsys=capsys)
+    assert rc == 2 and out == ""
+    assert message in err
+
+
 def test_vacuous_suites_pass_on_singleton_sets():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
@@ -345,6 +369,13 @@ def test_chaining_suite_is_vacuous_on_a_set_given_by_points():
     chain = checks.suite_chaining(om.make_measure(index, "uniform"),
                                   om.OrthonormalGenerator(), paths=200, seed=1)
     assert chain == {"suite": "chaining", "checks": [], "passed": True}
+
+
+def test_inequalities_suite_makes_one_integral_pass_per_measure(count_builds):
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    calls = count_builds(om.DiscreteMeasure, "integrals")
+    checks.suite_inequalities(index, random_measures=4, seed=2)
+    assert len(calls) == len({id(m) for m in calls}) == 4
 
 
 def test_inequalities_suite_counts_violations(monkeypatch):
@@ -557,6 +588,17 @@ def test_every_warning_lands_in_the_report(argv, stage, monkeypatch, capsys):
     assert "probe" in json.loads(out)["report"]["warnings"]
 
 
+def test_out_in_missing_directory_is_usage_error(tmp_path, capsys, no_stage_runs):
+    out = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", "--seed", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "directory not found" in captured.err
+    assert not out.parent.exists()
+
+
 def test_adversarial_depth_is_the_base_depth():
     args = cli._build_parser().parse_args(["adversarial", "--depth", "1"])
     assert args.base_depth == 1
@@ -570,9 +612,11 @@ def test_benchmark_command_lines_parse(monkeypatch):
         cli._build_parser().parse_args(workloads.command(name, 1, "out.json"))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_cli_section() -> str:
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
 
 
@@ -590,6 +634,13 @@ def test_readme_shows_every_subcommand():
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_command_lines_parse(line):
     cli._build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_option_table_matches_the_parser():

@@ -244,3 +244,25 @@ def test_duality_ratio_near_one_and_measures_consistent():
         weak = om.weak_functional(res.measure)
         strong, _ = om.strong_functional(res.measure)
         assert weak <= strong + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# integrals owned by the measure
+
+
+@pytest.mark.parametrize("optimizer", [om.minimize_strong, om.maximize_weak])
+def test_optimizers_return_a_measure_holding_its_integrals(optimizer, count_builds):
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    calls = count_builds(om.DiscreteMeasure, "integrals")
+    res = optimizer(index, OptimizerOptions(seed=1, restarts=2))
+    assert "integrals" in vars(res.measure)
+    # one pass per iteration, so the returned measure was one of them
+    assert len(calls) == res.iterations
+    assert any(m is res.measure for m in calls)
+
+
+def test_duality_report_adds_no_integral_pass(count_builds):
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    calls = count_builds(om.DiscreteMeasure, "integrals")
+    rep = om.duality_gap_report(index, OptimizerOptions(seed=1))
+    assert len(calls) == rep.upper.iterations + rep.lower.iterations

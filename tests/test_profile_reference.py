@@ -3,8 +3,8 @@
 The references below sort and integrate every row at once, on whole
 (P, P) arrays.  The library works on blocks of rows with the same
 ufuncs in the same order, so every array and every value must match
-exactly, with no tolerance.  The profile is stored on its index set,
-so it must also be freed with it.
+exactly, with no tolerance.  The profile is stored on its index set
+and the integrals on their measure, so each must be freed with its owner.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
-from orthomm.functionals import _integral_rows, _subgradient_row
+from orthomm.functionals import _subgradient_row
 from orthomm.series import _row_blocks
 
 MIB = 1 << 20
@@ -82,7 +82,7 @@ def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
     np.testing.assert_array_equal(prof.seg, seg)
     n = len(index)
     for m in measures(index, seed):
-        vals = _integral_rows(m)
+        vals = m.integrals
         np.testing.assert_array_equal(vals, ref_integral_rows(m))
         assert np.all(np.isinf(vals[m.weights == 0.0]) == (n > 1))
         for row in {0, n // 2, n - 1}:
@@ -157,8 +157,23 @@ def test_integral_rows_work_in_bounded_memory():
     # 96 MB at P = 2049; a block of rows needs a few 512 KiB arrays
     index = power_set(2049)
     m = om.DiscreteMeasure.uniform(index)
-    cold = _peak_above_start(lambda: _integral_rows(m))
+    cold = _peak_above_start(lambda: m.integrals)
     prof = index.profile
     assert cold <= prof.order.nbytes + prof.seg.nbytes + 4 * MIB
-    warm = _peak_above_start(lambda: _integral_rows(m))
+    # a fresh measure on the same set reuses the profile but not the
+    # integrals, so this is a whole pass over the rows
+    fresh = om.DiscreteMeasure.uniform(index)
+    warm = _peak_above_start(lambda: fresh.integrals)
+    assert "integrals" in vars(fresh)
     assert warm <= 4 * MIB
+
+
+def test_integrals_are_read_only_and_freed_with_their_measure():
+    m = om.DiscreteMeasure.uniform(power_set(65))
+    assert m.integrals is m.integrals
+    with pytest.raises(ValueError, match="read-only"):
+        m.integrals[0] = 0.0
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None

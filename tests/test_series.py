@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import zeta
 
 import orthomm as om
-from orthomm.series import SCALE_CEILING, _hurwitz_zeta
+from orthomm.series import SCALE_CEILING, _hurwitz_zeta, check_measure_spec
 
 
 def explicit_set(*values: float) -> om.IndexSet:
@@ -299,21 +299,14 @@ def test_partition_is_built_once_per_index_set(monkeypatch):
     assert len(calls) == 1 and calls[0] is index
 
 
-def test_profile_is_built_once_per_index_set(monkeypatch):
-    calls = []
-    blocks = om.series._row_blocks
-
-    def counting(n):
-        calls.append(n)
-        return blocks(n)
-
-    monkeypatch.setattr("orthomm.series._row_blocks", counting)
+def test_profile_is_built_once_per_index_set(count_builds):
+    calls = count_builds(om.IndexSet, "profile")
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
     assert index.profile is index.profile
     m = om.make_measure(index, "uniform")
     om.evaluate_functionals(m)
     om.minimize_strong(index, om.OptimizerOptions(max_iters=5))
-    assert calls == [17]
+    assert len(calls) == 1 and calls[0] is index
 
 
 def test_index_set_is_freed_with_its_partition_and_profile():
@@ -361,10 +354,11 @@ def test_dirichlet_measure_deterministic_per_seed():
 
 def test_measure_spec_rejects_unknown_keys():
     index = explicit_set(0.5)
-    with pytest.raises(om.InvalidMeasureError):
-        om.make_measure(index, {"kind": "uniform", "bogus": 1})
-    with pytest.raises(om.InvalidMeasureError):
-        om.make_measure(index, {"kind": "no_such_kind"})
+    for spec in ({"kind": "uniform", "bogus": 1}, {"kind": "no_such_kind"}):
+        with pytest.raises(om.InvalidMeasureError):
+            om.make_measure(index, spec)
+        with pytest.raises(om.InvalidMeasureError):
+            check_measure_spec(spec)  # needs no index set
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -376,6 +370,14 @@ def test_measure_spec_rejects_unknown_keys():
 def test_measure_spec_rejects_incomplete_input(spec, message):
     with pytest.raises(om.InvalidMeasureError, match=message):
         om.make_measure(explicit_set(0.5), spec)
+    with pytest.raises(om.InvalidMeasureError, match=message):
+        check_measure_spec(spec)
+
+
+def test_measure_spec_check_passes_complete_input_through():
+    assert check_measure_spec("uniform") == {"kind": "uniform"}
+    spec = {"kind": "point_mass", "at": 0.25}
+    assert check_measure_spec(spec) is spec
 
 
 COUNT = "weight count must match index set size"
