@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
@@ -189,14 +190,25 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 
 # Entries per block of rows.  A block's float temporaries take 512 KiB, so
 # they stay in cache where whole (P, P) temporaries did not: 31 rows at
-# P = 2049, and one block holding every row up to P = 256.
+# P = 2049, and one block holding every row up to P = 256.  A pass over the
+# integrals holds one such temporary per core it runs on.
 _BLOCK_ITEMS = 1 << 16
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive row slices of range(n), each of _BLOCK_ITEMS // n rows or one."""
+def _row_blocks(n: int, start: int = 0, stop: int | None = None) -> list[slice]:
+    """Consecutive row slices of range(start, stop), each of _BLOCK_ITEMS // n
+    rows or one; stop defaults to n."""
     step = max(1, _BLOCK_ITEMS // n)
-    return [slice(a, a + step) for a in range(0, n, step)]
+    stop = n if stop is None else stop
+    return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def _cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity, such as macOS
+        return os.cpu_count() or 1
 
 
 class _DistanceProfile(NamedTuple):
@@ -447,19 +459,45 @@ class DiscreteMeasure:
     def integrals(self) -> np.ndarray:
         """Read-only f(t) = integral_0^sqrt(D) m(B(t, r^2))^(-1/2) dr for every
         t in T, summed over the index set's ``profile``; +inf where the point
-        carries no mass.  Built on first use and freed with the measure."""
-        prof = self.index_set.profile
-        w = self.weights
-        vals = np.empty(w.size)
-        for rows in _row_blocks(w.size):  # a single point has seg 0, so f = 0
-            cum = np.cumsum(w[prof.order[rows]], axis=1)
-            np.maximum(cum, 1e-300, out=cum)
-            cum **= -0.5
-            cum *= prof.seg[rows]
-            vals[rows] = cum.sum(axis=1)
+        carries no mass.  Built on first use and freed with the measure.
+
+        The rows are split into one contiguous share per core the process
+        may run on (at most one per row block), of nearly equal row counts;
+        the caller sums the first share and one thread each the others.
+        Every row goes through the same ufuncs in the same order whatever
+        share holds it, so the values do not depend on the core count.
+        """
+        prof, w = self.index_set.profile, self.weights
+        n = w.size
+        vals = np.empty(n)
+        k = min(_cores(), len(_row_blocks(n)))
+        if k == 1:
+            _integrate_rows(prof, w, vals, 0, n)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            edges = [n * i // k for i in range(k + 1)]
+            with ThreadPoolExecutor(k - 1) as pool:
+                futures = [pool.submit(_integrate_rows, prof, w, vals, a, b)
+                           for a, b in zip(edges[1:-1], edges[2:])]
+                _integrate_rows(prof, w, vals, 0, edges[1])
+                for f in futures:
+                    f.result()
         vals[w == 0.0] = math.inf
         vals.setflags(write=False)
         return vals
+
+
+def _integrate_rows(prof: _DistanceProfile, w: np.ndarray, out: np.ndarray,
+                    start: int, stop: int) -> None:
+    """Write the integrals of rows start..stop-1 into out, block by block."""
+    for rows in _row_blocks(w.size, start, stop):  # a single point has seg 0, so f = 0
+        cum = w[prof.order[rows]]
+        np.cumsum(cum, axis=1, out=cum)
+        np.maximum(cum, 1e-300, out=cum)
+        cum **= -0.5
+        cum *= prof.seg[rows]
+        out[rows] = cum.sum(axis=1)
+        del cum  # freed before the next block is gathered
 
 
 def check_measure_spec(spec: Mapping | str) -> Mapping:

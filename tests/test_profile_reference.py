@@ -1,15 +1,20 @@
 """The row-blocked distance profile and ball integrals against dense references.
 
 The references below sort and integrate every row at once, on whole
-(P, P) arrays.  The library works on blocks of rows with the same
-ufuncs in the same order, so every array and every value must match
-exactly, with no tolerance.  The profile is stored on its index set
+(P, P) arrays.  The library works on blocks of rows, and splits the
+integrals into one share of rows per core, with the same ufuncs in the
+same order, so every array and every value must match exactly, with no
+tolerance, whatever the core count.  The profile is stored on its index set
 and the integrals on their measure, so each must be freed with its owner.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import math
+import os
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -19,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
+from orthomm import series
 from orthomm.functionals import _subgradient_row
 from orthomm.series import _row_blocks
 
@@ -37,8 +43,9 @@ def ref_profile(index: om.IndexSet) -> tuple[np.ndarray, np.ndarray]:
     return order, seg
 
 
-def ref_integral_rows(measure: om.DiscreteMeasure) -> np.ndarray:
-    order, seg = ref_profile(measure.index_set)
+def ref_integral_rows(measure: om.DiscreteMeasure, order: np.ndarray,
+                      seg: np.ndarray) -> np.ndarray:
+    """Every point's integral on whole (P, P) arrays, from ``ref_profile``."""
     w = measure.weights
     if w.size == 1:
         return np.zeros(1)
@@ -48,8 +55,9 @@ def ref_integral_rows(measure: om.DiscreteMeasure) -> np.ndarray:
     return vals
 
 
-def ref_subgradient_row(measure: om.DiscreteMeasure, row: int) -> np.ndarray:
-    order, seg = (a[row] for a in ref_profile(measure.index_set))
+def ref_subgradient_row(measure: om.DiscreteMeasure, row: int, order: np.ndarray,
+                        seg: np.ndarray) -> np.ndarray:
+    order, seg = order[row], seg[row]
     cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
     suffix = np.cumsum((-0.5 * seg * cum ** -1.5)[::-1])[::-1]
     g = np.empty_like(suffix)
@@ -83,11 +91,11 @@ def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
     n = len(index)
     for m in measures(index, seed):
         vals = m.integrals
-        np.testing.assert_array_equal(vals, ref_integral_rows(m))
+        np.testing.assert_array_equal(vals, ref_integral_rows(m, order, seg))
         assert np.all(np.isinf(vals[m.weights == 0.0]) == (n > 1))
         for row in {0, n // 2, n - 1}:
             np.testing.assert_array_equal(_subgradient_row(m, row),
-                                          ref_subgradient_row(m, row))
+                                          ref_subgradient_row(m, row, order, seg))
 
 
 # Up to 256 points one block holds every row; these larger sizes end on a
@@ -104,6 +112,87 @@ def test_blocks_match_dense_reference(n):
     if n > 2:
         sparse = measures(index, seed=n)[2]
         assert np.any(sparse.weights == 0.0)
+
+
+def spy_shares(monkeypatch) -> list[tuple[int, int]]:
+    """Record the (start, stop) rows of every share an integral pass sums."""
+    shares = []
+    integrate = series._integrate_rows
+
+    def spy(prof, w, out, start, stop):
+        shares.append((start, stop))
+        integrate(prof, w, out, start, stop)
+
+    monkeypatch.setattr(series, "_integrate_rows", spy)
+    return shares
+
+
+@pytest.mark.parametrize("n", [257, 513, 2049])
+def test_integrals_do_not_depend_on_the_core_count(n, monkeypatch):
+    # 257 rows make the unequal blocks [255, 2]; shares are balanced by
+    # rows, so a share may end inside a block
+    index = power_set(n)
+    shares = spy_shares(monkeypatch)
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(series, "_cores", lambda: cores)
+        shares.clear()
+        assert_matches_reference(index, seed=n)
+        k = min(cores, len(_row_blocks(n)))
+        for measure in range(3):
+            split = sorted(shares[k * measure:k * (measure + 1)])
+            assert [a for a, _ in split[1:]] == [b for _, b in split[:-1]]
+            assert (split[0][0], split[-1][1]) == (0, n)
+            assert max(b - a for a, b in split) - min(b - a for a, b in split) <= 1
+        assert len(shares) == 3 * k
+
+
+@pytest.mark.parametrize("n, cores", [(65, None), (65, 3), (256, 3), (2049, 1)])
+def test_one_share_starts_no_thread(n, cores, monkeypatch):
+    # up to 256 points (the default pipeline has 65) one block holds every
+    # row, and a process on one core sums every block itself
+    index = power_set(n)
+    index.profile
+    if cores is not None:
+        monkeypatch.setattr(series, "_cores", lambda: cores)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an executor was constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    m = om.DiscreteMeasure.uniform(index)
+    assert m.integrals.shape == (n,)
+    assert threading.active_count() == before
+
+
+def test_core_count_without_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert series._cores() == (os.cpu_count() or 1)
+
+
+def test_failing_share_reaches_the_caller_after_every_share_ends(monkeypatch):
+    index = power_set(513)
+    index.profile
+    monkeypatch.setattr(series, "_cores", lambda: 3)
+    integrate = series._integrate_rows
+    ended = []
+
+    def share(prof, w, out, start, stop):
+        if start == 171:
+            raise RuntimeError("share failed")
+        if start == 342:
+            time.sleep(0.2)
+        integrate(prof, w, out, start, stop)
+        ended.append(start)
+
+    monkeypatch.setattr(series, "_integrate_rows", share)
+    before = threading.active_count()
+    m = om.DiscreteMeasure.uniform(index)
+    with pytest.raises(RuntimeError, match="share failed"):
+        m.integrals
+    assert sorted(ended) == [0, 342]
+    assert threading.active_count() == before
+    assert "integrals" not in vars(m)
 
 
 def test_tied_distances_put_the_left_point_first():
