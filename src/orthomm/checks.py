@@ -98,7 +98,7 @@ def suite_lemma4(seed: int, instances: int = 50) -> dict:
 
 
 def suite_bridge(measure, paths: int, seed: int, pairs: int = 10) -> dict:
-    """Bridge factorization exactness and MC increment second moments."""
+    """Bridge recursion against its covariance and MC increment second moments."""
     index_set = measure.index_set
     points = index_set.points
     if points.size < 2:
@@ -107,7 +107,9 @@ def suite_bridge(measure, paths: int, seed: int, pairs: int = 10) -> dict:
     fact_err = 0.0
     for bridge in adv.bridges:
         if bridge.dim:
-            rebuilt = bridge.chol @ bridge.chol.T
+            # the recursion's implied factor, L[k, j] = sigma[j] a[j+1] ... a[k]
+            factor = bridge.values(np.eye(bridge.dim)).T
+            rebuilt = factor @ factor.T
             fact_err = max(fact_err, float(np.abs(rebuilt - bridge.covariance()).max()))
     checks = [_within("bridge_factorization", fact_err, 1e-8)]
     lift = OrthogonalLift(adv)

@@ -71,7 +71,6 @@ __all__ = [
     "lower_bound_report",
 ]
 
-_JITTER = 1e-14
 _PATH_BLOCK = 4096  # paths per Monte Carlo block
 _FRAC = np.arange(5.0) / 4.0  # s_skeleton's interpolation weights
 
@@ -315,7 +314,11 @@ class BridgeLeaf:
     Points sitting on the cell's left endpoint are pinned to zero; the
     remaining points, a contiguous run of columns after them, get a
     centered Gaussian vector with covariance min(s', t') - 4**level *
-    s' * t' in coordinates local to the cell.
+    s' * t' in coordinates local to the cell.  The bridge is Markov, so
+    in point order it is X_k = a[k] X_{k-1} + sigma[k] z_k from X_{-1} = 0
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    section 3.1), whose innovations factor the covariance with one
+    coefficient pair per point.
     """
 
     level: int
@@ -323,8 +326,8 @@ class BridgeLeaf:
     positions: np.ndarray
     local: np.ndarray
     pinned: np.ndarray
-    chol: np.ndarray
-    jitter: float
+    a: np.ndarray
+    sigma: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -336,18 +339,14 @@ class BridgeLeaf:
     def values(self, z: np.ndarray) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals.
 
-        Row i is z[i] @ chol.T, summed in slot order by one elementwise
-        add per slot, so a row's value does not depend on how many rows
-        come with it, as it would through a BLAS product.  Fastest when
-        ``z.T`` is C-contiguous.
+        Row i runs the recursion over z[i], one elementwise multiply and
+        add per slot, so it costs O(dim) and a row's value does not
+        depend on how many rows come with it.  Fastest when ``z.T`` is
+        C-contiguous.
         """
-        zt = np.asarray(z, dtype=float).T
-        if not self.dim:
-            return np.zeros(zt.shape[::-1])
-        out = self.chol[:, :1] * zt[0]
-        term = np.empty_like(out)  # each slot's products
-        for j in range(1, self.dim):
-            out[j:] += np.multiply(self.chol[j:, j, None], zt[j], out=term[j:])
+        out = self.sigma[:, None] * np.asarray(z, dtype=float).T
+        for k in range(1, self.dim):
+            out[k] += self.a[k] * out[k - 1]
         return out.T
 
 
@@ -363,21 +362,15 @@ def _build_bridge(level: int, cell_index: int, points: np.ndarray,
     local_all = np.maximum(points[start:stop] - left, 0.0)
     pos = local_all > 0.0
     cols = np.arange(start, stop)
-    positions = cols[pos]
     local = local_all[pos]
-    pinned = cols[~pos]
-    jitter = 0.0
-    if local.size == 0:
-        chol = np.zeros((0, 0))
-    else:
-        cov = _bridge_covariance(local, level)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            jitter = _JITTER
-            chol = np.linalg.cholesky(cov + jitter * np.eye(local.size))
-    return BridgeLeaf(level=level, cell_index=cell_index, positions=positions,
-                      local=local, pinned=pinned, chol=chol, jitter=jitter)
+    # in units of the cell width, exactly; a cell holds its points below
+    # its right end, so 1 - u stays positive
+    u = np.ldexp(local, 2 * level)
+    prev = np.r_[0.0, u[:-1]]
+    a = (1.0 - u) / (1.0 - prev)
+    sigma = np.ldexp(np.sqrt((u - prev) * (1.0 - u) / (1.0 - prev)), -level)
+    return BridgeLeaf(level=level, cell_index=cell_index, positions=cols[pos],
+                      local=local, pinned=cols[~pos], a=a, sigma=sigma)
 
 
 class ProcessSampler:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -389,6 +390,33 @@ def test_inequalities_suite_counts_violations(monkeypatch):
     assert dyadic["max_excess"] > 1.0 and dyadic["ok"] is False
     assert all(c["ok"] for c in by_name.values())
     assert doc["passed"] is False
+
+
+def test_bridge_suite_reports_a_perturbed_recursion(monkeypatch):
+    # one leaf's step deviation off by 0.1% moves the implied covariance
+    # far past the check's 1e-8
+    build = processes._build_bridge
+    perturbed = []
+
+    def build_perturbed(*args):
+        b = build(*args)
+        if b.dim > 1 and not perturbed:
+            sigma = b.sigma.copy()
+            sigma[b.dim // 2] *= 1.001
+            b = dataclasses.replace(b, sigma=sigma)
+            perturbed.append(b)
+        return b
+
+    measure = om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 64)),
+                              "uniform")
+    fact = checks.suite_bridge(measure, paths=200, seed=1)["checks"][0]
+    assert fact["name"] == "bridge_factorization" and fact["ok"] is True
+    monkeypatch.setattr(processes, "_build_bridge", build_perturbed)
+    doc = checks.suite_bridge(measure, paths=200, seed=1)
+    fact = doc["checks"][0]
+    assert len(perturbed) == 1
+    assert fact["name"] == "bridge_factorization" and fact["ok"] is False
+    assert fact["measured"] > 1e-6 and doc["passed"] is False
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Skeleton laws, bridge leaves, adversarial sampling, and MC verification."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -260,8 +261,12 @@ def test_bridge_factorization_and_covariance():
     for key, start, stop in zip(keys, starts, np.r_[starts[1:], len(index)]):
         b = _build_bridge(1, int(key), index.points, int(start), int(stop))
         cov = b.covariance()
-        assert np.allclose(b.chol @ b.chol.T, cov, atol=1e-10)
-        assert b.jitter == 0.0
+        # the recursion's implied factor, L[k, j] = sigma[j] a[j+1] ... a[k]
+        factor = b.values(np.eye(b.dim)).T
+        assert np.array_equal(np.tril(factor), factor)
+        assert np.array_equal(np.diag(factor), b.sigma)
+        assert np.allclose(factor @ factor.T, cov, atol=1e-10)
+        assert np.all(b.sigma > 0.0)  # distinct points: no degenerate step
         assert np.all(np.diag(cov) >= -1e-15)
 
 
@@ -288,12 +293,33 @@ def test_bridge_sample_varies_at_interior_points():
     assert np.all(draws.std(axis=0) > 0)
 
 
-def test_bridge_jitter_fallback_on_singular_cells():
-    # duplicated coordinates make the covariance exactly singular
+def test_bridge_duplicated_coordinates_get_equal_values():
+    # duplicated coordinates make the covariance exactly singular; the
+    # recursion takes a step of zero variance and copies the value
     points = np.array([0.0, 0.2, 0.2, 0.3])
     b = _build_bridge(0, 0, points, 0, 4)
-    assert b.jitter > 0.0
-    assert np.allclose(b.chol @ b.chol.T, b.covariance(), atol=1e-6)
+    assert (b.sigma[1], b.a[1]) == (0.0, 1.0)
+    assert b.sigma[0] > 0.0 and b.sigma[2] > 0.0
+    draws = b.values(np.random.default_rng(5).standard_normal((200, b.dim)))
+    assert draws[:, 0].tobytes() == draws[:, 1].tobytes()
+    factor = b.values(np.eye(b.dim)).T
+    assert np.allclose(factor @ factor.T, b.covariance(), atol=1e-10)
+
+
+def test_bridge_leaves_store_one_number_per_point():
+    # a dense dim x dim factor would hold dim**2 numbers
+    index, u, depth = uniform_setup(64, depth=3)
+    w = np.random.default_rng(2).dirichlet(np.full(len(index), 0.5))
+    w[::5] = 0.0
+    for m, base_depth in ((u, depth), (u, 1), (om.DiscreteMeasure.explicit(index, w), 2)):
+        adv = om.AdversarialSampler(m, base_depth)
+        assert max(b.dim for b in adv.bridges) > 1
+        for b in adv.bridges:
+            for f in dataclasses.fields(b):
+                arr = getattr(b, f.name)
+                if isinstance(arr, np.ndarray):
+                    assert arr.ndim == 1 and arr.size <= b.dim + b.pinned.size
+            assert b.a.size == b.sigma.size == b.local.size == b.dim
 
 
 def test_bridge_empirical_covariance():
@@ -313,7 +339,7 @@ def test_bridge_values_do_not_depend_on_the_row_count():
     assert b.dim == 41
     z = np.random.default_rng(4).standard_normal((b.dim, 5_000)).T
     full = b.values(z)
-    assert np.allclose(full, z @ b.chol.T, rtol=0, atol=1e-12)
+    assert np.allclose(full, z @ np.linalg.cholesky(b.covariance()).T, rtol=0, atol=1e-12)
     for n in [*range(1, 70), 128, 1000, 4096]:
         assert b.values(z[:n]).tobytes() == full[:n].tobytes()
         assert b.values(np.ascontiguousarray(z[-n:])).tobytes() == full[-n:].tobytes()

@@ -230,11 +230,13 @@ def ref_stream(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def ref_bridge_values(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """z @ chol.T, each entry summed in slot order."""
-    out = z[:, :1] * chol[:, 0]
-    for j in range(1, chol.shape[0]):
-        out[:, j:] = out[:, j:] + z[:, j:j + 1] * chol[j:, j]
+def ref_bridge_values(a: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x_k = a_k x_{k-1} + sigma_k z_k from x_{-1} = 0, one column per point."""
+    out = np.empty_like(z)
+    x = np.zeros(z.shape[0])
+    for k in range(sigma.size):
+        x = a[k] * x + sigma[k] * z[:, k]
+        out[:, k] = x
     return out
 
 
@@ -257,7 +259,7 @@ def ref_sampler_evaluate(root: RefNode, points: np.ndarray, paths: int,
             if b.dim:
                 z = np.column_stack([ref_stream(seed, 2, b.cell_index, j).standard_normal(idx.size)
                                      for j in range(b.dim)])
-                draws = ref_bridge_values(b.chol, z)
+                draws = ref_bridge_values(b.a, b.sigma, z)
                 vals[idx[:, None], b.positions[None, :]] += mult[:, None] * draws
             continue
         k = node.level + 1
@@ -308,6 +310,17 @@ def test_sampler_values_match_reference_at_subnormal_depths(base_depth):
     for w in ([0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]):
         m = om.DiscreteMeasure.explicit(index, np.asarray(w))
         assert_sampler_matches_reference(m, base_depth, 200, 3)
+
+
+@pytest.mark.parametrize("base_depth", [512, 537])
+def test_bridge_recursion_is_finite_at_subnormal_depths(base_depth):
+    index = om.IndexSet(points=[0.0, 5e-324, 1e-310, 0.5], scale=1.0, raw_total=0.5)
+    m = om.DiscreteMeasure.explicit(index, np.full(4, 0.25))
+    adv = om.AdversarialSampler(m, base_depth)
+    for b in adv.bridges:
+        assert np.all(np.isfinite(b.a)) and np.all(np.isfinite(b.sigma))
+        assert np.all(b.sigma > 0.0)
+    assert np.all(np.isfinite(adv.sample(200, 3)))
 
 
 @pytest.mark.parametrize("block", [1, 7])
