@@ -325,6 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mc_opt.add_argument("--paths", type=_at_least(2, "paths"), default=100000)
     mc_opt.add_argument("--seed", type=int, default=None)
 
+    gen_opt = argparse.ArgumentParser(add_help=False)
+    gen_opt.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
+                         default="gaussian")
+
     optim_opt = argparse.ArgumentParser(add_help=False)
     optim_opt.add_argument("--max-iters", type=int, default=2000)
     optim_opt.add_argument("--tol", type=float, default=1e-8)
@@ -349,11 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("simulate",
-                       parents=[common, measure_opt, mc_opt, optim_opt],
+                       parents=[common, measure_opt, mc_opt, gen_opt, optim_opt],
                        help="Monte Carlo supremum estimates and the "
                             "chaining bound")
-    p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
-                   default="gaussian")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("adversarial",
@@ -365,21 +367,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adversarial)
 
     p = sub.add_parser("verify",
-                       parents=[common, measure_opt, mc_opt, optim_opt],
+                       parents=[common, measure_opt, mc_opt, gen_opt, optim_opt],
                        help="named property suites")
     p.add_argument("--suite", choices=(*checks.SUITES, "all"), required=True)
     p.add_argument("--random-measures", type=_at_least(1, "random measures"),
                    default=100)
-    p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
-                   default="gaussian")
     p.add_argument("--base-depth", type=_at_least(1, "base depth"), default=3)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("pipeline",
-                       parents=[common, mc_opt, optim_opt],
+                       parents=[common, mc_opt, gen_opt, optim_opt],
                        help="build, optimize, evaluate, and verify in one run")
-    p.add_argument("--generator", choices=("gaussian", "rademacher", "trig"),
-                   default="gaussian")
     p.add_argument("--adversarial-depth", type=_at_least(1, "base depth"), default=3)
     p.set_defaults(func=cmd_pipeline)
 

@@ -24,8 +24,8 @@ a stream in blocks gives the values of one bulk read, and no step mixes
 values across paths, so results do not depend on the block size.  The
 partial sums run slot by slot and keep each path's running extremes, 0
 included.  The adversarial sampler holds a block one row per point with
-its paths sorted by leaf; the lower bound reduces it to each path's
-maximum and undoes the sort on that vector only.
+its paths sorted by leaf; ``ProcessSampler.per_path`` reduces each block
+to a per-path statistic and undoes the sort on that statistic only.
 """
 
 from __future__ import annotations
@@ -334,7 +334,7 @@ class BridgeLeaf:
         return int(self.positions.size)
 
     def covariance(self) -> np.ndarray:
-        return _bridge_covariance(self.local, self.level)
+        return _bridge_covariance(self.local[:, None], self.local, self.level)
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals.
@@ -350,10 +350,9 @@ class BridgeLeaf:
         return out.T
 
 
-def _bridge_covariance(local: np.ndarray, level: int) -> np.ndarray:
-    """min(s', t') - (2**level s')(2**level t'); finite past level 511."""
-    r = np.ldexp(local, level)
-    return np.minimum.outer(local, local) - np.outer(r, r)
+def _bridge_covariance(s, t, level: int) -> np.ndarray:
+    """min(s', t') - (2**level s')(2**level t'), broadcast; finite past level 511."""
+    return np.minimum(s, t) - np.ldexp(s, level) * np.ldexp(t, level)
 
 
 def _build_bridge(level: int, cell_index: int, points: np.ndarray,
@@ -395,13 +394,18 @@ class ProcessSampler:
         may be written over it."""
         raise NotImplementedError
 
+    def per_path(self, paths: int, seed: int, stat) -> np.ndarray:
+        """``stat`` of each (points, block) block, which it may overwrite, in path order."""
+        out = None
+        for start, _, vals, order in self._blocks(paths, seed):
+            s = stat(vals)  # its last axis runs over the block's columns
+            out = np.empty(s.shape[:-1] + (paths,), s.dtype) if out is None else out
+            out[..., start + order] = s
+        return out
+
     def sample(self, paths: int, seed: int) -> np.ndarray:
         """Matrix of process values, one row per path, one column per point."""
-        blocks = self._blocks(paths, seed)  # checks the arguments first
-        out = np.empty((paths, self.points.size))
-        for start, stop, vals, order in blocks:
-            out[start:stop][order] = vals.T
-        return out
+        return self.per_path(paths, seed, lambda v: v).T
 
 
 def _runs(rows: np.ndarray):
@@ -844,9 +848,7 @@ def lower_bound_report(
     depth = sampler.inner.base_depth
     table = classify_good_indices(measure, max_level=depth)
     filtered = table.filtered_series()
-    stat = np.empty(paths)
-    for start, stop, vals, order in sampler._blocks(paths, seed):
-        stat[start:stop][order] = np.square(vals, out=vals).max(axis=0)
+    stat = sampler.per_path(paths, seed, lambda v: np.square(v, out=v).max(axis=0))
     est = MCEstimate.from_samples(stat, seed)
     threshold = LOWER_BOUND_FACTOR * math.sqrt(est.mean) + 3.0 * est.stderr
     return LowerBoundReport(filtered_sum=float(filtered), estimate=est,

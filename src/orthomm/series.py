@@ -462,7 +462,8 @@ class DiscreteMeasure:
         carries no mass.  Built on first use and freed with the measure.
 
         The rows are split into one contiguous share per core the process
-        may run on (at most one per row block), of nearly equal row counts;
+        may run on (at most one per full row block, since a share of a few
+        rows costs more than it saves), of nearly equal row counts;
         the caller sums the first share and one thread each the others.
         Every row goes through the same ufuncs in the same order whatever
         share holds it, so the values do not depend on the core count.
@@ -470,8 +471,8 @@ class DiscreteMeasure:
         prof, w = self.index_set.profile, self.weights
         n = w.size
         vals = np.empty(n)
-        k = min(_cores(), len(_row_blocks(n)))
-        if k == 1:
+        k = min(_cores(), n // max(1, _BLOCK_ITEMS // n))  # full blocks
+        if k <= 1:
             _integrate_rows(prof, w, vals, 0, n)
         else:
             from concurrent.futures import ThreadPoolExecutor

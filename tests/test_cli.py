@@ -419,6 +419,43 @@ def test_bridge_suite_reports_a_perturbed_recursion(monkeypatch):
     assert fact["measured"] > 1e-6 and doc["passed"] is False
 
 
+def test_bridge_suite_increments_are_those_of_the_sampled_paths(monkeypatch):
+    # blocks of 97 paths: the streamed squared increments reach the same
+    # mean and standard error as the paths x points matrix of ``sample``
+    monkeypatch.setattr(processes, "_PATH_BLOCK", 97)
+    measure = om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 64)),
+                              "uniform")
+    doc = checks.suite_bridge(measure, paths=600, seed=4)
+    adv = om.AdversarialSampler(measure, 2)
+    increments = doc["checks"][1:]
+    assert len(increments) == 20
+    for label, sampler in (("bridge", adv), ("lift", om.OrthogonalLift(adv))):
+        vals = sampler.sample(600, 4)
+        for check in increments:
+            kind, _, i, j = check["name"].split("_")
+            if kind == label:
+                sq = (vals[:, int(i)] - vals[:, int(j)]) ** 2
+                assert check["measured"] == float(sq.mean())
+                assert check["stderr"] == float(sq.std(ddof=1) / math.sqrt(600))
+                assert "skipped" not in check
+
+
+def test_bridge_suite_skips_increments_on_zero_mass_cells(capsys):
+    # a point mass leaves every other cell without mass, and those cells keep
+    # only their skeleton parts, so the d(1 - d) law does not hold there
+    rc, out, err = run("verify", "--suite", "bridge", "--coeffs", SMALL, "--paths", "2000",
+                       "--seed", "3", "--no-timestamp",
+                       "--measure", '{"kind": "point_mass", "at": 0.0}', capsys=capsys)
+    assert rc == 0, err
+    fact, *increments = json.loads(out)["report"]["suites"][0]["checks"]
+    assert fact["name"] == "bridge_factorization" and fact["ok"] is True
+    assert "skipped" not in fact
+    assert len(increments) == 20
+    assert all(c["skipped"] is True and c["ok"] is True for c in increments)
+    # the sampler still runs: its increments fall short of the law's
+    assert all(c["measured"] < c["expected"] for c in increments)
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -638,6 +675,21 @@ def test_benchmark_command_lines_parse(monkeypatch):
     workloads = importlib.import_module("workloads")
     for name in workloads.COEFFS:
         cli._build_parser().parse_args(workloads.command(name, 1, "out.json"))
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # where Recorder.install looks each one up: the module attribute, or the
+    # class's own __dict__ for a method; a missing one fails every traced run
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spans = importlib.import_module("spans")
+    for layer, attr in spans.TRACED:
+        module = importlib.import_module(f"orthomm.{layer}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(getattr(module, cls_name).__dict__.get(meth)), attr
+        else:
+            assert callable(getattr(module, attr, None)), attr
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

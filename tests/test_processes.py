@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm import processes
+from orthomm import checks, processes
 from orthomm.processes import _build_bridge, _partial_sum_extremes, _path_blocks, _stream
 
 PATHS = 40_000
@@ -716,6 +716,16 @@ def test_monte_carlo_checks_hold_no_paths_by_points_matrix():
         m, om.OrthonormalGenerator(), 100_000, 11))
     # a few blocks of 4096 rows and the per-path statistics: about 12 and 7 MB
     assert lower < matrix / 3 and chain < matrix / 3
+
+
+def test_bridge_suite_memory_grows_only_with_its_increments():
+    # P = 257: 4096 more paths would add 8 MB of paths x points matrix, but
+    # only 20 squared increments per path, 0.6 MB, to the suite
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 256))
+    m = om.make_measure(index, "uniform")
+    short, long = (traced_peak(lambda: checks.suite_bridge(m, paths, 11))
+                   for paths in (4096, 8192))
+    assert long - short < 4096 * len(index) * 8 / 4
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,22 @@ def spy_shares(monkeypatch) -> list[tuple[int, int]]:
     return shares
 
 
+# Full row blocks, which cap the share count: 257 rows make one full block
+# and a 2-row stub, 513 rows four full blocks and a 5-row stub.
+FULL_BLOCKS = {257: 1, 513: 4, 2049: 66}
+
+
 @pytest.mark.parametrize("n", [257, 513, 2049])
 def test_integrals_do_not_depend_on_the_core_count(n, monkeypatch):
-    # 257 rows make the unequal blocks [255, 2]; shares are balanced by
-    # rows, so a share may end inside a block
+    # shares are balanced by rows, so at 513 rows a share of two or three
+    # ends inside a block
     index = power_set(n)
     shares = spy_shares(monkeypatch)
     for cores in (1, 2, 3):
         monkeypatch.setattr(series, "_cores", lambda: cores)
         shares.clear()
         assert_matches_reference(index, seed=n)
-        k = min(cores, len(_row_blocks(n)))
+        k = min(cores, FULL_BLOCKS[n])
         for measure in range(3):
             split = sorted(shares[k * measure:k * (measure + 1)])
             assert [a for a, _ in split[1:]] == [b for _, b in split[:-1]]
@@ -146,10 +151,12 @@ def test_integrals_do_not_depend_on_the_core_count(n, monkeypatch):
         assert len(shares) == 3 * k
 
 
-@pytest.mark.parametrize("n, cores", [(65, None), (65, 3), (256, 3), (2049, 1)])
+@pytest.mark.parametrize("n, cores", [(65, None), (65, 3), (256, 3), (257, 3), (300, 2),
+                                      (2049, 1)])
 def test_one_share_starts_no_thread(n, cores, monkeypatch):
     # up to 256 points (the default pipeline has 65) one block holds every
-    # row, and a process on one core sums every block itself
+    # row; below 362 points one block is full and the other is shorter; and
+    # a process on one core sums every block itself
     index = power_set(n)
     index.profile
     if cores is not None:
