@@ -46,10 +46,14 @@ __all__ = [
 SUITES = ("skeleton", "lemma4", "bridge", "chaining", "lowerbound",
           "inequalities")
 
+# the family level of the bridge suite's increment checks: 2 * Phi(-3), the
+# level one two-sided 3-sigma test has alone
+FAMILY_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
 
-def _suite(name: str, checks: list[dict]) -> dict:
+
+def _suite(name: str, checks: list[dict], **extra) -> dict:
     return {"suite": name, "checks": checks,
-            "passed": all(c["ok"] for c in checks)}
+            "passed": all(c["ok"] for c in checks), **extra}
 
 
 def _within(name: str, measured: float, tol: float,
@@ -98,12 +102,36 @@ def suite_lemma4(seed: int) -> dict:
     return _suite("lemma4", checks)
 
 
+def _sidak_threshold(m: int) -> float:
+    """The |z| threshold at which m tests together have level ``FAMILY_LEVEL``.
+
+    Each test runs at 1 - (1 - FAMILY_LEVEL)**(1/m), and Sidak (1967) shows that
+    for jointly Gaussian statistics P(all |Z_i| <= c) >= prod P(|Z_i| <= c)
+    whatever their correlation, so all m pass together with probability
+    at least 1 - FAMILY_LEVEL.
+    """
+    # imported here, so that only the bridge suite pays the 4 ms import
+    from statistics import NormalDist
+
+    per_test = -math.expm1(math.log1p(-FAMILY_LEVEL) / m)
+    return NormalDist().inv_cdf(1.0 - per_test / 2.0)
+
+
 def suite_bridge(measure, paths: int, seed: int, pairs: int = 10) -> dict:
-    """Bridge recursion against its covariance and MC increment second moments."""
+    """Bridge recursion against its covariance and MC increment second moments.
+
+    The 2 * ``pairs`` increment checks share their paths, and their
+    Monte Carlo means are asymptotically jointly normal, so they run at
+    the Sidak threshold of ``_sidak_threshold`` (3.817 for 20 checks): a
+    correct sampler fails any of them with probability at most
+    ``FAMILY_LEVEL``, the level of one two-sided 3-sigma test.  Each check
+    records its z-score and the suite its threshold.
+    """
+    threshold = _sidak_threshold(2 * pairs)
     index_set = measure.index_set
     points = index_set.points
     if points.size < 2:
-        return _suite("bridge", [])
+        return _suite("bridge", [], threshold=threshold)
     adv = AdversarialSampler(measure, min(2, index_set.partition.separation_depth))
     fact_err = 0.0
     for b in adv.bridges:
@@ -121,20 +149,21 @@ def suite_bridge(measure, paths: int, seed: int, pairs: int = 10) -> dict:
     i, j = np.array([sorted(rng.choice(points.size, size=2, replace=False).tolist())
                      for _ in range(pairs)]).T
     for label, sampler in (("bridge", adv), ("lift", OrthogonalLift(adv))):
-        sq = sampler.per_path(paths, seed, lambda v: np.square(v[i] - v[j]))
-        for inc, s, t in zip(sq, i.tolist(), j.tolist()):
-            measured = float(inc.mean())
+        # reduced before the next sampler fills its own (pairs, paths) array
+        stats = [(float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(paths)))
+                 for inc in sampler.per_path(paths, seed, lambda v: np.square(v[i] - v[j]))]
+        for (measured, se), s, t in zip(stats, i.tolist(), j.tolist()):
             expected = sampler.second_moment(points[s], points[t])
-            se = float(inc.std(ddof=1) / math.sqrt(paths))
             checks.append({
                 "name": f"{label}_increment_{s}_{t}",
                 "measured": measured,
                 "expected": expected,
                 "stderr": se,
+                "z": (measured - expected) / se if se > 0.0 else None,
                 **({"skipped": True} if skipped else {}),
-                "ok": skipped or bool(abs(measured - expected) <= 3.0 * se + 1e-9),
+                "ok": skipped or bool(abs(measured - expected) <= threshold * se + 1e-9),
             })
-    return _suite("bridge", checks)
+    return _suite("bridge", checks, threshold=threshold)
 
 
 def suite_chaining(measure, generator, paths: int, seed: int) -> dict:

@@ -11,7 +11,7 @@ a Brownian bridge fills in below the base depth.  Adding one independent
 linear Gaussian term turns the bridge-type increments |s-t|(1 - |s-t|)
 into orthogonal increments |s-t| exactly.
 
-Every variate comes from a Philox stream keyed by (seed, kind, *key):
+Every variate comes from an SFC64 stream keyed by (seed, kind, *key):
 uniform slot j is (seed, 0, j), normal slot j is (seed, 1, j), and normal
 slot j of the bridge at the leaf with exact cell key kappa is (seed, 2,
 kappa, j).  Path i reads element i of each uniform and normal slot, and
@@ -83,15 +83,20 @@ def _check_seed(seed: int) -> None:
 
 
 def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
-    """The Philox stream keyed by (seed, kind, *key).
+    """The SFC64 stream keyed by (seed, kind, *key).
 
-    The keys in use are (seed, 0, j), (seed, 1, j) and (seed, 2, kappa, j).
-    With the seed in one 32-bit word, the kind word tells the kinds apart
-    and the remaining words the keys of one kind, also once padded to four
-    words or split into 32-bit words.
+    ``SeedSequence`` hashes the key into SFC64's state, whose counter word
+    gives every stream a period of at least 2**64; streams of distinct
+    keys are independent for all practical purposes (numpy's "Parallel
+    Random Number Generation").  Each stream is read from its start, so
+    no counter-based generator is needed.  The keys in use are (seed, 0,
+    j), (seed, 1, j) and (seed, 2, kappa, j).  With the seed in one 32-bit
+    word, the kind word tells the kinds apart and the remaining words the
+    keys of one kind, also once padded to four words or split into 32-bit
+    words.
     """
     _check_seed(seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, kind, *key))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, kind, *key))))
 
 
 def _read(streams: list, count: int, normal: bool) -> np.ndarray:

@@ -304,7 +304,9 @@ def build_index_set(coeffs: CoefficientSequence) -> IndexSet:
     raw_total = float(np.cumsum(sq)[-1])
     scale = 1.0 if raw_total < 1.0 else SCALE_CEILING / raw_total
     pts = np.concatenate([[0.0], np.cumsum(scale * sq)])
-    distinct = np.unique(pts)
+    # pts never decreases, so dropping repeats of the previous point is
+    # np.unique, without its import of numpy.ma
+    distinct = pts[np.r_[True, pts[1:] != pts[:-1]]]
     merged = int(pts.size - distinct.size)
     if merged:
         warnings.warn(

@@ -440,6 +440,41 @@ def test_bridge_suite_increments_are_those_of_the_sampled_paths(monkeypatch):
                 assert "skipped" not in check
 
 
+def test_bridge_suite_runs_its_increment_checks_at_a_family_level():
+    # one check alone at the family level is the two-sided 3-sigma test
+    assert checks._sidak_threshold(1) == pytest.approx(3.0, abs=1e-12)
+    assert checks._sidak_threshold(20) == pytest.approx(3.8169, abs=1e-4)
+    measure = om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 16)),
+                              "uniform")
+    doc = checks.suite_bridge(measure, paths=2000, seed=5)
+    assert doc["threshold"] == checks._sidak_threshold(20)
+    increments = doc["checks"][1:]
+    for c in increments:
+        assert c["z"] == (c["measured"] - c["expected"]) / c["stderr"]
+    # a correct sampler that one 3-sigma test of the twenty would fail
+    assert max(abs(c["z"]) for c in increments) > 3.0
+    assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bridge_suite_fails_a_bridge_with_a_tenth_more_variance(monkeypatch, seed):
+    # the negative control of the family level: bridge values scaled by
+    # sqrt(1.1), with the leaves' coefficients untouched, fail the
+    # increment checks at the default path count
+    values = processes.BridgeLeaf.values
+    monkeypatch.setattr(processes.BridgeLeaf, "values",
+                        lambda self, z: math.sqrt(1.1) * values(self, z))
+    measure = om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 16)),
+                              "uniform")
+    paths = cli._build_parser().parse_args(["verify", "--suite", "bridge"]).paths
+    assert paths == 100_000
+    doc = checks.suite_bridge(measure, paths=paths, seed=seed)
+    fact, *increments = doc["checks"]
+    assert fact["ok"] is True and doc["passed"] is False
+    failed = [c for c in increments if not c["ok"]]
+    assert failed and all(c["z"] > doc["threshold"] for c in failed)
+
+
 def test_bridge_suite_skips_increments_on_zero_mass_cells(capsys):
     # a point mass leaves every other cell without mass, and those cells keep
     # only their skeleton parts, so the d(1 - d) law does not hold there

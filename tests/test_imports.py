@@ -45,3 +45,21 @@ def test_pipeline_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["0", "[]"]
+
+
+def test_runs_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma in numpy 2.4; building an index set must not
+    script = (
+        "import sys\n"
+        "from orthomm import cli\n"
+        f"out = {str(tmp_path / 'report.json')!r}\n"
+        "rcs = [cli.main(['evaluate', '--out', out]),\n"
+        "       cli.main(['pipeline', '--paths', '200', '--seed', '1', '--out', out])]\n"
+        "print(rcs, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["[0,", "0]", "False"]

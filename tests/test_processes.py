@@ -504,7 +504,7 @@ def test_each_slot_reads_its_own_stream():
     U, Z = draw(17, 500, 2, 2)
 
     def stream(*key):
-        return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
     for j in range(2):
         assert np.array_equal(U[:, j], stream(17, 0, j).random(500))
@@ -726,6 +726,16 @@ def test_bridge_suite_memory_grows_only_with_its_increments():
     short, long = (traced_peak(lambda: checks.suite_bridge(m, paths, 11))
                    for paths in (4096, 8192))
     assert long - short < 4096 * len(index) * 8 / 4
+
+
+def test_bridge_suite_holds_one_samplers_increments_at_a_time():
+    # each sampler's (pairs, paths) squared increments are reduced to their
+    # means and standard errors before the next sampler fills its own
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 16))
+    m = om.make_measure(index, "uniform")
+    paths, pairs = 100_000, 10
+    peak = traced_peak(lambda: checks.suite_bridge(m, paths, 11, pairs=pairs))
+    assert peak < 2 * pairs * paths * 8
 
 
 # ---------------------------------------------------------------------------

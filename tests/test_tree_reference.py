@@ -227,7 +227,7 @@ def ref_sampler_build(tree: om.PartitionTree, weights: np.ndarray,
 
 
 def ref_stream(*key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 def ref_bridge_values(a: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
