@@ -75,7 +75,7 @@ def _load_json_arg(text: str, what: str):
 def _parse_coeffs(arg: str) -> CoefficientSequence:
     obj = _load_json_arg(arg, "coefficients")
     if isinstance(obj, list):
-        return CoefficientSequence.explicit(obj)
+        obj = {"kind": "explicit", "values": obj}
     return CoefficientSequence.from_json(obj)
 
 

@@ -413,13 +413,6 @@ class ProcessSampler:
         return self.per_path(paths, seed, lambda v: v).T
 
 
-def _runs(rows: np.ndarray):
-    """(row, start, stop) of each run of equal entries of ``rows``."""
-    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return zip(rows[starts].tolist(), starts, [*cuts, rows.size])
-
-
 class AdversarialSampler(ProcessSampler):
     """Level-by-level construction with bridge-type increments.
 
@@ -431,16 +424,16 @@ class AdversarialSampler(ProcessSampler):
     on all points, E (Y(s) - Y(t))**2 = |s - t| * (1 - |s - t|); cells
     of zero mass are never selected and keep only their skeleton parts.
 
-    The construction lives on the partition's level-k cell rows:
-    ``_levels[k]`` maps each row that paths reach to its skeleton law and
-    the (slot, start, stop, left) segments of its nonempty children, next
-    to a (cells, 4) array of child rows and row tables of the skeleton
-    laws: selector CDFs, root probabilities, pinned slot and pinned
-    values; ``_leaves`` maps rows to bridges.
-    ``base_depth`` is taken as given, also past the separation depth;
-    ``build_adversarial_process`` clips it there.  A path reads five
-    uniform slots per level and the normal slots of the one bridge it
-    reaches.
+    The construction lives on the partition's cell rows: ``_levels[k]``
+    holds a (rows, 4) table of the level-k rows' child rows (-1 for zero
+    mass), the skeleton laws of the rows paths reach as (4, rows)
+    selector CDFs, (rows, 4) root probabilities, pinned slots (4 for
+    none) and (rows, 4) pinned values, and the (parent row, slot, start,
+    stop, left) of every level-(k+1) cell; ``_leaves`` maps the reached
+    base-depth rows to bridges.  ``base_depth`` is taken as given, also
+    past the separation depth; ``build_adversarial_process`` clips it
+    there.  A path reads five uniform slots per level and the normal
+    slots of the one bridge it reaches.
     """
 
     def __init__(self, measure: DiscreteMeasure, base_depth: int):
@@ -463,30 +456,27 @@ class AdversarialSampler(ProcessSampler):
         reached = [0]
         self._levels = []
         for k in range(1, self.base_depth + 1):
-            bounds = np.r_[starts, size]  # of the level-(k-1) cells
             starts, keys, masses, child_masses, good = _level_masses(tree, weights, k)
-            stops = np.r_[starts[1:], size]
-            first = np.searchsorted(starts, bounds)  # each parent's first child row
-            slot = (keys % 4).astype(np.intp)
-            table = {}
-            cells = bounds.size - 1
-            cdf, root, pinned = np.ones((4, cells)), np.ones((cells, 4)), np.zeros((cells, 4))
-            pin = np.full(cells, 4, dtype=np.intp)  # slot 4: no pinned slot
+            parent = np.searchsorted(tree.cell_arrays(k - 1)[0], starts, side="right") - 1
+            rows, slot = len(child_masses), (keys % 4).astype(np.intp)  # level-(k-1) rows
+            flags = np.zeros((rows, 4), dtype=bool)
+            flags[parent, slot] = good
+            cdf, root, pinned = np.ones((4, rows)), np.ones((rows, 4)), np.zeros((rows, 4))
+            pin = np.full(rows, 4, dtype=np.intp)  # slot 4: no pinned slot
             for r in reached:
-                kids = range(first[r], first[r + 1])
-                skeleton = build_skeleton_variables(
-                    child_masses[r], {int(slot[c]) for c in kids if good[c]})
-                table[r] = (skeleton, tuple((int(slot[c]), int(starts[c]), int(stops[c]),
-                                             _left_endpoint(int(keys[c]), k)) for c in kids))
+                skeleton = build_skeleton_variables(child_masses[r],
+                                                    np.flatnonzero(flags[r]).tolist())
                 cdf[:, r] = _selector_cdf(skeleton.probs)
                 root[r] = np.sqrt(skeleton.probs)
                 if skeleton.n is not None:
                     pin[r] = skeleton.n
                     pinned[r, list(skeleton.pair)] = skeleton.x, skeleton.y
-            child = np.full((cells, 4), -1, dtype=np.intp)
-            parent = np.searchsorted(bounds, starts, side="right") - 1
+            child = np.full((rows, 4), -1, dtype=np.intp)
             child[parent, slot] = np.where(masses > 0.0, np.arange(starts.size), -1)
-            self._levels.append((table, child, (cdf, root.ravel(), pin, pinned.ravel())))
+            cells = [(p, j, a, b, _left_endpoint(i, k)) for p, j, a, b, i in zip(
+                parent.tolist(), slot.tolist(), starts.tolist(),
+                [*starts[1:].tolist(), size], keys.tolist())]
+            self._levels.append((child, cdf, root, pin, pinned, cells))
             reached = np.flatnonzero(masses > 0.0).tolist()
         stops = np.r_[starts[1:], size]
         self._leaves = {r: _build_bridge(self.base_depth, int(keys[r]), self.points,
@@ -514,16 +504,18 @@ class AdversarialSampler(ProcessSampler):
         The selector uniforms fix each path's cell row at every level, as
         ``SkeletonVariables.from_uniforms`` draws it, and the row tables
         give every path's increments and skeleton in one pass per level.
-        Sorted stably by leaf row, the paths of any cell are one run of
-        columns, so every add is to a slice; the paths reaching leaf row r
-        take, in increasing order, the next rows of ``normals(r, count)``.
+        Sorted stably by leaf row, the paths are sorted by their row at
+        every level, so one ``searchsorted`` per level finds each row's run
+        of columns and each cell adds its segment to its parent row's run;
+        the paths reaching leaf row r take, in increasing order, the next
+        rows of ``normals(r, count)``.
         Returns the (points, paths) matrix, written over the storage of
         ``vals`` (``buf`` is scratch), whose column i holds path
         ``order[i]`` of the block, and ``order``.
         """
         n = U.shape[0]
         rows, keys = [np.zeros(n, dtype=np.intp)], []
-        for level, (_, child, (cdf, _, _, _)) in enumerate(self._levels):
+        for level, (child, cdf, *_) in enumerate(self._levels):
             # searchsorted(cdf[row], u, side="right") capped at 3, path by path
             row, u = rows[-1], U[:, 5 * level]
             tau = (cdf[0].take(row) <= u).astype(np.intp) + (cdf[1].take(row) <= u) \
@@ -539,7 +531,7 @@ class AdversarialSampler(ProcessSampler):
         mult = None  # all ones at the root
         z, pre = np.empty((5, n)), np.zeros((5, n))  # z[4] takes the pin of unpinned rows
         pinat = np.arange(n)
-        for level, (table, _, (_, root, pin, pinned)) in enumerate(self._levels):
+        for level, (_, _, root, pin, pinned, cells) in enumerate(self._levels):
             down, up = 2.0 ** -(level + 1), 2.0 ** (level + 1)
             row, key = rows[level][order], keys[level][order]
             signs = np.greater_equal(U[5 * level + 1:5 * level + 5], 0.5, out=z[:4])
@@ -550,8 +542,10 @@ class AdversarialSampler(ProcessSampler):
             for j in range(1, 4):  # np.cumsum along the slots; row adds are faster
                 np.add(pre[j], z[j], out=pre[j + 1])
             S = pre - _FRAC[:, None] * pre[4]  # s_skeleton, one row per slot
-            for r, a, b in _runs(row):
-                for j, start, stop, left in table[r][1]:
+            bounds = np.searchsorted(row, np.arange(pin.size + 1)).tolist()
+            for r, j, start, stop, left in cells:
+                a, b = bounds[r], bounds[r + 1]
+                if a < b:
                     offs = up * (self.points[start:stop] - left)
                     seg = np.multiply(offs[:, None], S[j + 1, a:b] - S[j, a:b],
                                       out=buf[:offs.size * (b - a)].reshape(-1, b - a))
@@ -560,9 +554,10 @@ class AdversarialSampler(ProcessSampler):
                         seg *= mult[a:b]
                     vals[start:stop, a:b] += seg
             mult = (1.0 if mult is None else mult) / root.take(key)
-        for r, a, b in _runs(leaf[order]):
-            bridge = self._leaves[r]
-            if bridge.dim:
+        bounds = np.searchsorted(leaf[order], np.arange(max(self._leaves) + 2)).tolist()
+        for r, bridge in self._leaves.items():
+            a, b = bounds[r], bounds[r + 1]
+            if a < b and bridge.dim:
                 draws = bridge.values(normals(r, b - a)).T
                 if mult is not None:
                     draws *= mult[a:b]

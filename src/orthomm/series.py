@@ -109,25 +109,18 @@ class CoefficientSequence:
         """Parse ``{"kind": ...}`` coefficient input; unknown keys rejected."""
         if not isinstance(obj, Mapping):
             raise InvalidCoefficientError("coefficient input must be a JSON object")
-        kind = obj.get("kind")
-        allowed = {
-            "explicit": {"kind", "values"},
-            "power": {"kind", "exponent", "count"},
-            "geometric": {"kind", "ratio", "count"},
-        }
-        if kind not in allowed:
-            raise InvalidCoefficientError(f"unknown coefficient kind: {kind!r}")
-        extra = set(obj) - allowed[kind]
-        if extra:
-            raise InvalidCoefficientError(
-                f"unknown keys in coefficient input: {sorted(extra)}")
-        if kind == "explicit":
-            if "values" not in obj:
-                raise InvalidCoefficientError("explicit coefficients need 'values'")
-            return cls.explicit(obj["values"])
-        if kind == "power":
-            return cls.power(float(obj["exponent"]), int(obj["count"]))
-        return cls.geometric(float(obj["ratio"]), int(obj["count"]))
+        kind = _check_kind_and_keys(
+            obj, {"explicit": ("values",), "power": ("exponent", "count"),
+                  "geometric": ("ratio", "count")},
+            InvalidCoefficientError, "coefficient", "coefficients need")
+        try:
+            if kind == "explicit":
+                return cls.explicit(obj["values"])
+            if kind == "power":
+                return cls.power(float(obj["exponent"]), int(obj["count"]))
+            return cls.geometric(float(obj["ratio"]), int(obj["count"]))
+        except (TypeError, OverflowError) as exc:  # such as a null count or an infinite one
+            raise InvalidCoefficientError(f"invalid {kind} coefficient input: {exc}") from exc
 
     def to_json(self) -> dict:
         if self.family == "explicit":
@@ -242,6 +235,8 @@ class IndexSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0 or pts[0] != 0.0:
             raise InvalidCoefficientError("index set must start at 0")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidCoefficientError("index set points must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise InvalidCoefficientError("index set points must strictly increase")
         if pts[-1] >= 1.0:
@@ -300,8 +295,11 @@ class IndexSet:
 
 def build_index_set(coeffs: CoefficientSequence) -> IndexSet:
     """Partial-sum point set of c * a_n^2, scaled to live inside [0, 1)."""
-    sq = np.asarray(coeffs.values, dtype=float) ** 2
-    raw_total = float(np.cumsum(sq)[-1])
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        sq = np.asarray(coeffs.values, dtype=float) ** 2
+        raw_total = float(np.cumsum(sq)[-1])
+    if not math.isfinite(raw_total):
+        raise InvalidCoefficientError("the coefficient squares must have a finite sum")
     scale = 1.0 if raw_total < 1.0 else SCALE_CEILING / raw_total
     pts = np.concatenate([[0.0], np.cumsum(scale * sq)])
     # pts never decreases, so dropping repeats of the previous point is
@@ -503,27 +501,35 @@ def _integrate_rows(prof: _DistanceProfile, w: np.ndarray, out: np.ndarray,
         del cum  # freed before the next block is gathered
 
 
+def _check_kind_and_keys(spec: Mapping, keys: Mapping[str, tuple], error: type,
+                         what: str, need: str) -> str:
+    """The kind of a ``{"kind": ...}`` input whose other keys are ``keys[kind]``.
+
+    Raises ``error`` for an unknown kind, an unknown key or, naming the
+    first in ``keys[kind]`` order, a missing key ("<kind> <need> 'key'").
+    """
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in keys:
+        raise error(f"unknown {what} kind: {kind!r}")
+    extra = set(spec) - {"kind", *keys[kind]}
+    if extra:
+        raise error(f"unknown keys in {what} input: {sorted(extra)}")
+    missing = [key for key in keys[kind] if key not in spec]
+    if missing:
+        raise error(f"{kind} {need} {missing[0]!r}")
+    return kind
+
+
 def check_measure_spec(spec: Mapping | str) -> Mapping:
     """``spec`` as a checked ``{"kind": ...}`` object; needs no index set."""
     if isinstance(spec, str):
         spec = {"kind": spec}
     if not isinstance(spec, Mapping):
         raise InvalidMeasureError("measure input must be a name or JSON object")
-    kind = spec.get("kind")
-    allowed = {
-        "uniform": {"kind"},
-        "point_mass": {"kind", "at"},
-        "explicit": {"kind", "weights"},
-        "dirichlet_random": {"kind", "seed"},
-    }
-    if kind not in allowed:
-        raise InvalidMeasureError(f"unknown measure kind: {kind!r}")
-    extra = set(spec) - allowed[kind]
-    if extra:
-        raise InvalidMeasureError(f"unknown keys in measure input: {sorted(extra)}")
-    missing = allowed[kind] - set(spec)  # at most one key
-    if missing:
-        raise InvalidMeasureError(f"{kind} measure needs {missing.pop()!r}")
+    _check_kind_and_keys(
+        spec, {"uniform": (), "point_mass": ("at",), "explicit": ("weights",),
+               "dirichlet_random": ("seed",)},
+        InvalidMeasureError, "measure", "measure needs")
     return spec
 
 
@@ -533,11 +539,14 @@ def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:
     kind = spec["kind"]
     if kind == "uniform":
         return DiscreteMeasure.uniform(index_set)
-    if kind == "point_mass":
-        return DiscreteMeasure.point_mass(index_set, float(spec["at"]))
-    if kind == "explicit":
-        return DiscreteMeasure.explicit(index_set, spec["weights"])
-    return DiscreteMeasure.dirichlet_random(index_set, int(spec["seed"]))
+    try:
+        if kind == "point_mass":
+            return DiscreteMeasure.point_mass(index_set, float(spec["at"]))
+        if kind == "explicit":
+            return DiscreteMeasure.explicit(index_set, spec["weights"])
+        return DiscreteMeasure.dirichlet_random(index_set, int(spec["seed"]))
+    except (TypeError, OverflowError) as exc:  # such as a null seed or a number for weights
+        raise InvalidMeasureError(f"invalid {kind} measure input: {exc}") from exc
 
 
 def ball_mass(measure: DiscreteMeasure, t: float, r: float) -> float:

@@ -806,6 +806,26 @@ def test_unreadable_coeffs_input_exit_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--coeffs", '{"kind":"power","exponent":1}'], "power coefficients need 'count'"),
+    (["build", "--coeffs", '{"kind":"power","exponent":1,"count":null}'],
+     "invalid power coefficient input"),
+    (["build", "--coeffs", '{"kind":"explicit","values":5}'],
+     "invalid explicit coefficient input"),
+    (["build", "--coeffs", "[1e200]"], "the coefficient squares must have a finite sum"),
+    (["evaluate", "--coeffs", "[1e200, 1.0]"], "the coefficient squares must have a finite sum"),
+    (["evaluate", "--measure", '{"kind":"explicit","weights":5}'],
+     "invalid explicit measure input"),
+    (["evaluate", "--measure", '{"kind":"dirichlet_random","seed":null}'],
+     "invalid dirichlet_random measure input"),
+], ids=["missing-count", "null-count", "number-values", "overflow-build",
+        "overflow-evaluate", "number-weights", "null-seed"])
+def test_malformed_input_exits_two_with_one_error_line(argv, message, capsys):
+    rc, out, err = run(*argv, "--no-timestamp", capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
 def test_invalid_json_is_a_usage_error(inline, tmp_path, capsys):
     text = '{"kind": "power",'

@@ -110,8 +110,22 @@ def test_tail_mass_geometric_divergent(ratio):
      r"unknown keys in coefficient input: \['ratio'\]"),
     (om.CoefficientSequence.from_json, ({"kind": "explicit"},),
      "explicit coefficients need 'values'"),
+    (om.CoefficientSequence.from_json, ({"kind": "power", "exponent": 1.0},),
+     "power coefficients need 'count'"),
+    (om.CoefficientSequence.from_json, ({"kind": "geometric"},),
+     "geometric coefficients need 'ratio'"),
+    (om.CoefficientSequence.from_json, ({"kind": ["power"]},),
+     r"unknown coefficient kind: \['power'\]"),
+    (om.CoefficientSequence.from_json, ({"kind": "power", "exponent": 1.0, "count": None},),
+     "invalid power coefficient input: int"),
+    (om.CoefficientSequence.from_json, ({"kind": "geometric", "ratio": 0.5,
+                                         "count": math.inf},),
+     "invalid geometric coefficient input: cannot convert float infinity"),
+    (om.CoefficientSequence.from_json, ({"kind": "explicit", "values": 5},),
+     "invalid explicit coefficient input: 'int' object is not iterable"),
 ], ids=["power-count", "geometric-count", "geometric-ratio", "json-list",
-        "json-kind", "json-keys", "json-values"])
+        "json-kind", "json-keys", "json-values", "json-no-count", "json-first-missing",
+        "json-list-kind", "json-null-count", "json-infinite-count", "json-number-values"])
 def test_coefficient_input_rejections(make, args, message):
     with pytest.raises(om.InvalidCoefficientError, match=message):
         make(*args)
@@ -180,10 +194,21 @@ def test_index_set_inside_unit_interval(values):
     ([0.25, 0.5], "index set must start at 0"),
     ([0.0, 0.5, 0.5], "index set points must strictly increase"),
     ([0.0, 1.0], "index set points must stay below 1"),
-], ids=["empty", "no-zero", "repeat", "one"])
+    ([0.0, math.nan], "index set points must be finite"),
+    ([0.0, 0.5, math.inf], "index set points must be finite"),
+], ids=["empty", "no-zero", "repeat", "one", "nan", "inf"])
 def test_index_set_rejects_bad_points(points, message):
     with pytest.raises(om.InvalidCoefficientError, match=message):
         om.IndexSet(points=np.array(points), scale=1.0, raw_total=1.0)
+
+
+@pytest.mark.parametrize("values", [[1e200], [1e200, 1.0], [1e154, 1e154]],
+                         ids=["one", "first", "sum"])
+def test_index_set_of_overflowing_squares_is_rejected(values):
+    # a_n^2 or their sum overflow to inf, which scaled to [0, 1) gave NaN points
+    with pytest.raises(om.InvalidCoefficientError,
+                       match="the coefficient squares must have a finite sum"):
+        om.build_index_set(om.CoefficientSequence.explicit(values))
 
 
 def test_index_set_keeps_the_coefficients_it_was_built_from():
@@ -372,6 +397,17 @@ def test_measure_spec_rejects_incomplete_input(spec, message):
         om.make_measure(explicit_set(0.5), spec)
     with pytest.raises(om.InvalidMeasureError, match=message):
         check_measure_spec(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "explicit", "weights": 5}, "invalid explicit measure input: 'int' object"),
+    ({"kind": "dirichlet_random", "seed": None}, "invalid dirichlet_random measure input"),
+    ({"kind": "dirichlet_random", "seed": math.inf}, "invalid dirichlet_random measure input"),
+    ({"kind": "point_mass", "at": None}, "invalid point_mass measure input"),
+], ids=["number-weights", "null-seed", "infinite-seed", "null-point"])
+def test_measure_spec_rejects_wrong_typed_values(spec, message):
+    with pytest.raises(om.InvalidMeasureError, match=message):
+        om.make_measure(explicit_set(0.5), spec)
 
 
 def test_measure_spec_check_passes_complete_input_through():

@@ -333,6 +333,8 @@ def test_sampler_values_match_reference_in_small_blocks(monkeypatch, block):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sampler_nodes_match_per_parent_reference(seed):
+    # the row tables the sampler reads hold, at every row paths reach, the
+    # law build_skeleton_variables gives that cell's children one at a time
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
     tree = index.partition
     w = np.random.default_rng(seed).dirichlet(np.full(len(index), 0.5))
@@ -348,20 +350,28 @@ def test_sampler_nodes_match_per_parent_reference(seed):
             assert (bridge.cell_index, bridge.level) == (cell[0], 4)
             bridges.append(bridge)
             return
-        table, child, _ = adv._levels[level]
-        skeleton, segments = table[row]
+        child, cdf, root, pin, pinned, cells = adv._levels[level]
         children = ref_children(points, cell, level + 1)
         masses = ref_masses(m.weights, children)
         flags = om.good_children(masses)
         expected = om.build_skeleton_variables(masses, {j for j in range(4) if flags[j]})
-        assert skeleton.to_json() == expected.to_json()
-        assert [s[:3] for s in segments] == \
-            [(j, lo, hi) for j, (_, lo, hi) in enumerate(children) if hi > lo]
+        assert cdf[:, row].tolist() == (np.cumsum(expected.probs)
+                                        / np.cumsum(expected.probs)[-1]).tolist()
+        assert root[row].tolist() == np.sqrt(expected.probs).tolist()
+        assert pin[row] == (4 if expected.n is None else expected.n)
+        values = dict(zip(expected.pair, (expected.x, expected.y)))
+        assert pinned[row].tolist() == [values.get(j, 0.0) for j in range(4)]
+        assert [c for c in cells if c[0] == row] == \
+            [(row, j, lo, hi, _left_endpoint(i, level + 1))
+             for j, (i, lo, hi) in enumerate(children) if hi > lo]
         live = [(j, c) for j, c in enumerate(children) if masses[j] > 0.0]
         assert [j for j in range(4) if child[row, j] >= 0] == [j for j, _ in live]
         for j, c in live:
             walk(child[row, j], c, level + 1)
 
     walk(0, (0, 0, len(points)), 0)
+    for level, (child, *_, cells) in enumerate(adv._levels):
+        assert [c[2] for c in cells] == tree.cell_arrays(level + 1)[0].tolist()
+        assert child.shape == (len(tree.levels[level]), 4)
     assert adv.bridges == tuple(bridges)
     assert adv.n_normal_slots == max(b.dim for b in bridges)
