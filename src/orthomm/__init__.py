@@ -5,115 +5,16 @@ coefficient sequence, partitions it into nested quarter-scale cells,
 evaluates entropy-type functionals of probability measures on it exactly,
 optimizes those functionals over the simplex, and cross-validates upper
 and lower chaining bounds for orthogonal-increment processes by Monte
-Carlo.
+Carlo.  The package exports every name its four modules list in
+``__all__``.
 """
 
-from .series import (
-    CoefficientSequence,
-    DiscreteMeasure,
-    DomainError,
-    IndexSet,
-    InvalidCoefficientError,
-    InvalidMeasureError,
-    PartitionTree,
-    ball_mass,
-    build_index_set,
-    build_partition,
-    make_measure,
-)
-from .functionals import (
-    FILTER_WEIGHT,
-    CHAINING_CONSTANT,
-    LOWER_BOUND_FACTOR,
-    FunctionalReport,
-    GoodIndexTable,
-    classify_good_indices,
-    dyadic_bound,
-    dyadic_sup_bound,
-    evaluate_functionals,
-    filtered_bound,
-    good_children,
-    rademacher_menchov,
-    strong_functional,
-    strong_functional_at,
-    weak_functional,
-)
-from .optimize import (
-    DualityGapReport,
-    OptimizationResult,
-    OptimizerOptions,
-    duality_gap_report,
-    maximize_weak,
-    minimize_strong,
-)
-from .processes import (
-    AdversarialSampler,
-    BridgeLeaf,
-    ChainingReport,
-    LowerBoundReport,
-    MCEstimate,
-    OrthogonalLift,
-    OrthonormalGenerator,
-    ProcessSampler,
-    SkeletonVariables,
-    build_adversarial_process,
-    build_skeleton_variables,
-    lower_bound_report,
-    s_skeleton,
-    second_moment_oracle,
-    simulate_sup_square,
-    verify_chaining_bound,
-)
+from . import functionals, optimize, processes, series
+from .series import *  # noqa: F401,F403
+from .functionals import *  # noqa: F401,F403
+from .optimize import *  # noqa: F401,F403
+from .processes import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientSequence",
-    "DiscreteMeasure",
-    "DomainError",
-    "IndexSet",
-    "InvalidCoefficientError",
-    "InvalidMeasureError",
-    "PartitionTree",
-    "ball_mass",
-    "build_index_set",
-    "build_partition",
-    "make_measure",
-    "FILTER_WEIGHT",
-    "CHAINING_CONSTANT",
-    "LOWER_BOUND_FACTOR",
-    "FunctionalReport",
-    "GoodIndexTable",
-    "classify_good_indices",
-    "dyadic_bound",
-    "dyadic_sup_bound",
-    "evaluate_functionals",
-    "filtered_bound",
-    "good_children",
-    "rademacher_menchov",
-    "strong_functional",
-    "strong_functional_at",
-    "weak_functional",
-    "DualityGapReport",
-    "OptimizationResult",
-    "OptimizerOptions",
-    "duality_gap_report",
-    "maximize_weak",
-    "minimize_strong",
-    "AdversarialSampler",
-    "BridgeLeaf",
-    "ChainingReport",
-    "LowerBoundReport",
-    "MCEstimate",
-    "OrthogonalLift",
-    "OrthonormalGenerator",
-    "ProcessSampler",
-    "SkeletonVariables",
-    "build_adversarial_process",
-    "build_skeleton_variables",
-    "lower_bound_report",
-    "s_skeleton",
-    "second_moment_oracle",
-    "simulate_sup_square",
-    "verify_chaining_bound",
-]
+__all__ = [*series.__all__, *functionals.__all__, *optimize.__all__, *processes.__all__]

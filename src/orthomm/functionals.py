@@ -18,6 +18,7 @@ filtered form bound the weak functional only; the pointwise dyadic sum
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -238,8 +239,13 @@ def good_children(masses: Sequence[float]) -> tuple[bool, bool, bool, bool]:
     return tuple(bool(f) for f in _balance(m[None, :])[0])
 
 
-def _level_masses(tree: PartitionTree, weights: np.ndarray, k: int) -> tuple:
-    """Level-k starts, keys, masses, parents' child-mass matrix, good-child flags."""
+_Level = namedtuple("_Level", "starts keys masses parent slot children good")
+
+
+def _level_masses(tree: PartitionTree, weights: np.ndarray, k: int) -> _Level:
+    """The level-k cells (starts, keys, masses), each cell's parent row and
+    slot in the (rows, 4) child-mass matrix of the level-(k-1) rows, that
+    matrix, and its good-child flags ``_balance(children)``."""
     starts, keys = tree.cell_arrays(k)
     # per-cell sums keep a light cell's precision; prefix differences lose it
     masses = np.add.reduceat(weights, starts)
@@ -247,8 +253,7 @@ def _level_masses(tree: PartitionTree, weights: np.ndarray, k: int) -> tuple:
     slot = (keys % 4).astype(np.intp)
     children = np.zeros((parent[-1] + 1, 4))
     children[parent, slot] = masses
-    # a good child holds at least 1/32 of a positive mass, so it is a cell
-    return starts, keys, masses, children, _balance(children)[parent, slot]
+    return _Level(starts, keys, masses, parent, slot, children, _balance(children))
 
 
 def classify_good_indices(
@@ -265,9 +270,11 @@ def classify_good_indices(
         max_level = tree.separation_depth + 1
     out = []
     for k in range(1, max_level + 1):
-        _, keys, masses, _, good = _level_masses(tree, measure.weights, k)
-        roots = np.sqrt(masses)
-        out.append(GoodLevel(level=k, good=tuple(int(i) for i in keys[good]),
+        lv = _level_masses(tree, measure.weights, k)
+        # a good child holds at least 1/32 of a positive mass, so it is a cell
+        good = lv.good[lv.parent, lv.slot]
+        roots = np.sqrt(lv.masses)
+        out.append(GoodLevel(level=k, good=tuple(int(i) for i in lv.keys[good]),
                              full_sum=float(roots.sum()),
                              filtered_sum=float(roots[good].sum())))
     return GoodIndexTable(levels=tuple(out))

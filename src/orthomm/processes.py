@@ -133,8 +133,8 @@ def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int):
 
 
 def _selector_cdf(probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs)
-    return cum / cum[-1]
+    cum = np.cumsum(probs, axis=-1)
+    return cum / cum[..., -1:]
 
 
 def _draw_tau(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -260,56 +260,58 @@ class SkeletonVariables:
         }
 
 
-def build_skeleton_variables(child_masses, good_set) -> SkeletonVariables:
-    """Skeleton law for one parent cell from its child masses.
+def _skeleton_law(children: np.ndarray, good: np.ndarray) -> tuple:
+    """Skeleton laws of the rows of (rows, 4) child masses with positive totals.
 
-    A good child in the even pair {0, 2} pins increment slot 3; failing
-    that, a good child in the odd pair {1, 3} pins slot 2; with no good
-    children every increment is a free symmetric sign and nothing is
-    guaranteed (v = 0).  The pinned values solve the two-point centering
-    and unit-variance constraints on the pair's selection probabilities.
+    ``good`` flags each row's good children.  A good child in the even
+    pair {0, 2} pins increment slot 3; failing that, a good child in the
+    odd pair {1, 3} pins slot 2; a pair with a zero-probability atom, or
+    no good child, pins nothing and guarantees nothing (v = 0).  The
+    pinned values solve the two-point centering and unit-variance
+    constraints on the pair's selection probabilities.  Returns the
+    (rows, 4) selector probabilities, the pinned slots (4 for none), the
+    (rows, 4) values of the pinned increment on each selector atom (0
+    off the pair) and v.
     """
+    probs = children / children.sum(axis=-1, keepdims=True)
+    r = np.arange(len(probs))
+    odd = (~(good[:, 0] | good[:, 2])).astype(np.intp)  # the pair {odd, odd + 2}
+    pa, pb = probs[r, odd], probs[r, odd + 2]
+    live = (good[r, odd] | good[r, odd + 2]) & (pa > 0.0) & (pb > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mx = np.sqrt(pb / (pa * (pa + pb)))
+        my = np.sqrt(pa / (pb * (pa + pb)))
+        v = np.where(live, 0.25 * np.sqrt(pa * pb / (pa + pb)), 0.0)
+    sign = 1.0 - 2.0 * odd  # x = mx, y = -my on the even pair; -mx, my on the odd one
+    pinned = np.zeros(probs.shape)
+    pinned[r, odd] = np.where(live, sign * mx, 0.0)
+    pinned[r, odd + 2] = np.where(live, -sign * my, 0.0)
+    return probs, np.where(live, 3 - odd, 4), pinned, v
+
+
+def build_skeleton_variables(child_masses, good_set) -> SkeletonVariables:
+    """Skeleton law for one parent cell from its child masses: the one-row
+    case of ``_skeleton_law``, warning when a good pair has a zero atom."""
     masses = np.asarray(child_masses, dtype=float)
     if masses.shape != (4,):
         raise ValueError("exactly four child masses expected")
     if np.any(masses < 0) or not np.all(np.isfinite(masses)):
         raise ValueError("child masses must be finite and nonnegative")
-    total = float(masses.sum())
-    if total <= 0.0:
+    if float(masses.sum()) <= 0.0:
         raise ValueError("child masses must not all vanish")
     good = set(good_set)
     if not good <= {0, 1, 2, 3}:
         raise ValueError("good indices must be child positions 0..3")
-    probs = masses / total
-
-    if good & {0, 2}:
-        a, b, n = 0, 2, 3
-    elif good & {1, 3}:
-        a, b, n = 1, 3, 2
-    else:
-        a = b = n = None
-
-    if n is not None:
-        pa, pb = float(probs[a]), float(probs[b])
-        if pa <= 0.0 or pb <= 0.0:
-            warnings.warn(
-                "good pair has a zero-probability atom; using free signs",
-                RuntimeWarning,
-            )
-            n = None
-
-    if n is None:
-        return SkeletonVariables(probs=probs, n=None, x=0.0, y=0.0,
-                                 pair=(), v=0.0)
-
-    mx = math.sqrt(pb / (pa * (pa + pb)))
-    my = math.sqrt(pa / (pb * (pa + pb)))
-    if n == 3:
-        x, y = mx, -my
-    else:
-        x, y = -mx, my
-    v = 0.25 * math.sqrt(pa * pb / (pa + pb))
-    return SkeletonVariables(probs=probs, n=n, x=x, y=y, pair=(a, b), v=v)
+    probs, pin, pinned, v = _skeleton_law(masses[None], np.isin(np.arange(4), list(good))[None])
+    n = int(pin[0])
+    if n == 4:
+        if good:
+            warnings.warn("good pair has a zero-probability atom; using free signs",
+                          RuntimeWarning)
+        return SkeletonVariables(probs=probs[0], n=None, x=0.0, y=0.0, pair=(), v=0.0)
+    pair = (3 - n, 5 - n)
+    return SkeletonVariables(probs=probs[0], n=n, x=float(pinned[0, pair[0]]),
+                             y=float(pinned[0, pair[1]]), pair=pair, v=float(v[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,35 +454,28 @@ class AdversarialSampler(ProcessSampler):
     def _build(self, tree: PartitionTree, weights: np.ndarray) -> None:
         """Tables of the rows paths reach, level by level; bridges in row order."""
         size = self.points.size
-        starts, keys = tree.cell_arrays(0)
-        reached = [0]
+        reached = np.zeros(1, dtype=np.intp)
         self._levels = []
         for k in range(1, self.base_depth + 1):
-            starts, keys, masses, child_masses, good = _level_masses(tree, weights, k)
-            parent = np.searchsorted(tree.cell_arrays(k - 1)[0], starts, side="right") - 1
-            rows, slot = len(child_masses), (keys % 4).astype(np.intp)  # level-(k-1) rows
-            flags = np.zeros((rows, 4), dtype=bool)
-            flags[parent, slot] = good
+            lv = _level_masses(tree, weights, k)
+            rows = len(lv.children)  # level-(k-1) rows
             cdf, root, pinned = np.ones((4, rows)), np.ones((rows, 4)), np.zeros((rows, 4))
             pin = np.full(rows, 4, dtype=np.intp)  # slot 4: no pinned slot
-            for r in reached:
-                skeleton = build_skeleton_variables(child_masses[r],
-                                                    np.flatnonzero(flags[r]).tolist())
-                cdf[:, r] = _selector_cdf(skeleton.probs)
-                root[r] = np.sqrt(skeleton.probs)
-                if skeleton.n is not None:
-                    pin[r] = skeleton.n
-                    pinned[r, list(skeleton.pair)] = skeleton.x, skeleton.y
+            probs, pin[reached], pinned[reached], _ = _skeleton_law(lv.children[reached],
+                                                                    lv.good[reached])
+            cdf[:, reached] = _selector_cdf(probs).T
+            root[reached] = np.sqrt(probs)
             child = np.full((rows, 4), -1, dtype=np.intp)
-            child[parent, slot] = np.where(masses > 0.0, np.arange(starts.size), -1)
+            child[lv.parent, lv.slot] = np.where(lv.masses > 0.0, np.arange(lv.starts.size), -1)
             cells = [(p, j, a, b, _left_endpoint(i, k)) for p, j, a, b, i in zip(
-                parent.tolist(), slot.tolist(), starts.tolist(),
-                [*starts[1:].tolist(), size], keys.tolist())]
+                lv.parent.tolist(), lv.slot.tolist(), lv.starts.tolist(),
+                [*lv.starts[1:].tolist(), size], lv.keys.tolist())]
             self._levels.append((child, cdf, root, pin, pinned, cells))
-            reached = np.flatnonzero(masses > 0.0).tolist()
+            reached = np.flatnonzero(lv.masses > 0.0)
+        starts, keys = tree.cell_arrays(self.base_depth)
         stops = np.r_[starts[1:], size]
         self._leaves = {r: _build_bridge(self.base_depth, int(keys[r]), self.points,
-                                         int(starts[r]), int(stops[r])) for r in reached}
+                                         int(starts[r]), int(stops[r])) for r in reached.tolist()}
         self.bridges = tuple(self._leaves.values())
 
     def _blocks(self, paths: int, seed: int):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -119,7 +120,7 @@ class CoefficientSequence:
             if kind == "power":
                 return cls.power(float(obj["exponent"]), int(obj["count"]))
             return cls.geometric(float(obj["ratio"]), int(obj["count"]))
-        except (TypeError, OverflowError) as exc:  # such as a null count or an infinite one
+        except (TypeError, OverflowError) as exc:  # such as an exponent past float range
             raise InvalidCoefficientError(f"invalid {kind} coefficient input: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -501,12 +502,20 @@ def _integrate_rows(prof: _DistanceProfile, w: np.ndarray, out: np.ndarray,
         del cum  # freed before the next block is gathered
 
 
+def _is(value, kind: type) -> bool:
+    """``value`` is a ``kind`` (``numbers.Integral`` or ``numbers.Real``), not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _check_kind_and_keys(spec: Mapping, keys: Mapping[str, tuple], error: type,
                          what: str, need: str) -> str:
     """The kind of a ``{"kind": ...}`` input whose other keys are ``keys[kind]``.
 
-    Raises ``error`` for an unknown kind, an unknown key or, naming the
-    first in ``keys[kind]`` order, a missing key ("<kind> <need> 'key'").
+    Raises ``error`` for an unknown kind, an unknown key, naming the
+    first in ``keys[kind]`` order, a missing key ("<kind> <need> 'key'")
+    or a value of the wrong JSON type ("invalid <kind> <what> input:
+    '<type>' object ...").  Counts and seeds are integers, other scalars
+    are numbers, and lists hold numbers; a bool is neither.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in keys:
@@ -517,6 +526,24 @@ def _check_kind_and_keys(spec: Mapping, keys: Mapping[str, tuple], error: type,
     missing = [key for key in keys[kind] if key not in spec]
     if missing:
         raise error(f"{kind} {need} {missing[0]!r}")
+
+    def reject(value, where: str, expected: str):
+        raise error(f"invalid {kind} {what} input: {type(value).__name__!r} object "
+                    f"given {where} {key!r}; {expected} is required")
+
+    for key in keys[kind]:
+        value = spec[key]
+        if key in ("values", "weights"):
+            if not isinstance(value, (list, tuple, np.ndarray)):
+                reject(value, "for", "a list of numbers")
+            for item in value:
+                if not _is(item, numbers.Real):
+                    reject(item, "in", "a list of numbers")
+        elif key in ("count", "seed"):
+            if not _is(value, numbers.Integral):
+                reject(value, "for", "an integer")
+        elif not _is(value, numbers.Real):
+            reject(value, "for", "a number")
     return kind
 
 
@@ -545,7 +572,7 @@ def make_measure(index_set: IndexSet, spec: Mapping | str) -> DiscreteMeasure:
         if kind == "explicit":
             return DiscreteMeasure.explicit(index_set, spec["weights"])
         return DiscreteMeasure.dirichlet_random(index_set, int(spec["seed"]))
-    except (TypeError, OverflowError) as exc:  # such as a null seed or a number for weights
+    except (TypeError, OverflowError) as exc:  # such as a point past float range
         raise InvalidMeasureError(f"invalid {kind} measure input: {exc}") from exc
 
 

@@ -826,6 +826,35 @@ def test_malformed_input_exits_two_with_one_error_line(argv, message, capsys):
     assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--coeffs", '{"kind":"explicit","values":"123"}'],
+     "invalid explicit coefficient input: 'str' object given for 'values'"),
+    (["build", "--coeffs", '{"kind":"explicit","values":[1,true]}'],
+     "invalid explicit coefficient input: 'bool' object given in 'values'"),
+    (["build", "--coeffs", '{"kind":"power","exponent":1,"count":2.9}'],
+     "invalid power coefficient input: 'float' object given for 'count'"),
+    (["build", "--coeffs", '{"kind":"power","exponent":1,"count":true}'],
+     "invalid power coefficient input: 'bool' object given for 'count'"),
+    (["build", "--coeffs", '{"kind":"geometric","ratio":"0.5","count":3}'],
+     "invalid geometric coefficient input: 'str' object given for 'ratio'"),
+    (["evaluate", "--measure", '{"kind":"explicit","weights":"11111"}'],
+     "invalid explicit measure input: 'str' object given for 'weights'"),
+    (["evaluate", "--measure", '{"kind":"dirichlet_random","seed":1.5}'],
+     "invalid dirichlet_random measure input: 'float' object given for 'seed'"),
+    (["evaluate", "--measure", '{"kind":"dirichlet_random","seed":true}'],
+     "invalid dirichlet_random measure input: 'bool' object given for 'seed'"),
+    (["evaluate", "--measure", '{"kind":"point_mass","at":"0"}'],
+     "invalid point_mass measure input: 'str' object given for 'at'"),
+    (["verify", "--suite", "skeleton", "--measure", '{"kind":"explicit","weights":5}'],
+     "invalid explicit measure input: 'int' object given for 'weights'"),
+], ids=["string-values", "bool-value", "float-count", "bool-count", "string-ratio",
+        "string-weights", "float-seed", "bool-seed", "string-point", "unbuilt-weights"])
+def test_wrong_json_types_exit_two_with_one_error_line(argv, message, capsys):
+    rc, out, err = run(*argv, "--no-timestamp", capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
 def test_invalid_json_is_a_usage_error(inline, tmp_path, capsys):
     text = '{"kind": "power",'

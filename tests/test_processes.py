@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ def test_skeleton_variables_validation():
         om.build_skeleton_variables([0.0, 0.0, 0.0, 0.0], set())
     with pytest.raises(ValueError, match="child positions"):
         om.build_skeleton_variables([0.25] * 4, {4})
+
+
+def test_skeleton_variables_rejects_bad_selector_laws():
+    with pytest.raises(ValueError, match="four atoms"):
+        om.SkeletonVariables(probs=[0.5, 0.5], n=None, x=0.0, y=0.0, pair=(), v=0.0)
+    for probs in ([0.5, 0.5, 0.5, 0.5], [1.5, -0.5, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="probability vector"):
+            om.SkeletonVariables(probs=probs, n=None, x=0.0, y=0.0, pair=(), v=0.0)
+
+
+@pytest.mark.parametrize("masses, good, n, x, y", [
+    ([0.5, 0.0, 0.5, 0.0], {0}, 3, 1.0, -1.0),
+    ([0.0, 0.5, 0.0, 0.5], {3}, 2, -1.0, 1.0),
+    ([0.25, 0.0, 0.75, 0.0], {0, 1}, 3, math.sqrt(3.0), -math.sqrt(1.0 / 3.0)),
+], ids=["even", "odd", "even-over-empty-odd"])
+def test_skeleton_variables_zero_atoms_outside_the_good_pair(masses, good, n, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only a zero atom inside the pair warns
+        sk = om.build_skeleton_variables(masses, good)
+    assert (sk.n, sk.pair) == (n, (3 - n, 5 - n))
+    assert (sk.x, sk.y) == pytest.approx((x, y), abs=1e-15)
+
+
+def test_enumerate_outcomes_skips_zero_probability_selectors():
+    sk = om.build_skeleton_variables([0.5, 0.0, 0.5, 0.0], {0})
+    outcomes = sk.enumerate_outcomes()
+    assert {tau for _, tau, _ in outcomes} == {0, 2}
+    assert len(outcomes) == 2 * 2 ** 3  # two atoms times the free signs of three slots
+    assert sum(p for p, _, _ in outcomes) == 1.0
 
 
 def enumeration_moments(sk: om.SkeletonVariables):
@@ -368,6 +398,21 @@ def test_adversarial_increment_second_moments(depth):
         i, j = rng.choice(pts.size, size=2, replace=False)
         sq = (vals[:, i] - vals[:, j]) ** 2
         assert mc_close(sq, sampler.second_moment(pts[i], pts[j]))
+
+
+def test_adversarial_build_reads_the_array_law_only(monkeypatch):
+    # each level's law comes from one _skeleton_law call over its reached rows
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
+    w = np.random.default_rng(3).dirichlet(np.full(len(index), 0.5))
+    w[::7] = 0.0
+    m = om.DiscreteMeasure.explicit(index, w)
+    expected = om.AdversarialSampler(m, 5).sample(300, 4).tobytes()
+
+    def refuse(*args):
+        raise AssertionError("the sampler builds no SkeletonVariables")
+
+    monkeypatch.setattr(processes, "build_skeleton_variables", refuse)
+    assert om.AdversarialSampler(m, 5).sample(300, 4).tobytes() == expected
 
 
 def test_adversarial_determinism_across_workers_and_rebuilds():

@@ -117,12 +117,12 @@ def test_tail_mass_geometric_divergent(ratio):
     (om.CoefficientSequence.from_json, ({"kind": ["power"]},),
      r"unknown coefficient kind: \['power'\]"),
     (om.CoefficientSequence.from_json, ({"kind": "power", "exponent": 1.0, "count": None},),
-     "invalid power coefficient input: int"),
+     "invalid power coefficient input: 'NoneType' object given for 'count'"),
     (om.CoefficientSequence.from_json, ({"kind": "geometric", "ratio": 0.5,
                                          "count": math.inf},),
-     "invalid geometric coefficient input: cannot convert float infinity"),
+     "invalid geometric coefficient input: 'float' object given for 'count'"),
     (om.CoefficientSequence.from_json, ({"kind": "explicit", "values": 5},),
-     "invalid explicit coefficient input: 'int' object is not iterable"),
+     "invalid explicit coefficient input: 'int' object given for 'values'"),
 ], ids=["power-count", "geometric-count", "geometric-ratio", "json-list",
         "json-kind", "json-keys", "json-values", "json-no-count", "json-first-missing",
         "json-list-kind", "json-null-count", "json-infinite-count", "json-number-values"])

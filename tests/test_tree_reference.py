@@ -210,18 +210,20 @@ def ref_sampler_build(tree: om.PartitionTree, weights: np.ndarray,
             bridges.append(bridge)
             node = RefNode(level, None, (), bridge)
         else:
-            starts, keys, masses, child_masses, good = levels[level]
-            lo, hi = np.searchsorted(starts, [start, stop])
+            lv = levels[level]
+            lo, hi = np.searchsorted(lv.starts, [start, stop])
             # (slot, row, start, stop) of each nonempty child cell
-            kids = [(int(keys[c]) % 4, c, int(starts[c]), int(end))
-                    for c, end in zip(range(lo, hi), np.r_[starts[lo + 1:hi], stop])]
+            kids = [(int(lv.keys[c]) % 4, c, int(lv.starts[c]), int(end))
+                    for c, end in zip(range(lo, hi), np.r_[lv.starts[lo + 1:hi], stop])]
+            assert [(int(lv.parent[c]), int(lv.slot[c])) for _, c, _, _ in kids] == \
+                [(row, j) for j, _, _, _ in kids]
             skeleton = om.build_skeleton_variables(
-                child_masses[row], {j for j, c, _, _ in kids if good[c]})
-            segments = tuple((j, a, b, _left_endpoint(int(keys[c]), level + 1))
+                lv.children[row], {j for j, _, _, _ in kids if lv.good[row, j]})
+            segments = tuple((j, a, b, _left_endpoint(int(lv.keys[c]), level + 1))
                              for j, c, a, b in kids)
             node = RefNode(level, skeleton, segments, None)
-            stack.extend((level + 1, c, a, b, int(keys[c]), j, node.children)
-                         for j, c, a, b in reversed(kids) if masses[c] > 0.0)
+            stack.extend((level + 1, c, a, b, int(lv.keys[c]), j, node.children)
+                         for j, c, a, b in reversed(kids) if lv.masses[c] > 0.0)
         out.append((slot, node))
     return top[0][1], tuple(bridges)
 
