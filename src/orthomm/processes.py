@@ -99,9 +99,11 @@ def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, kind, *key))))
 
 
-def _read(streams: list, count: int, normal: bool) -> np.ndarray:
-    """The next ``count`` values of each stream, one column per stream."""
-    out = np.empty((len(streams), count))
+def _read(streams: list, count: int, normal: bool, buf: np.ndarray | None = None) -> np.ndarray:
+    """The next ``count`` values of each stream, one column per stream,
+    written over the start of ``buf`` when one is given."""
+    size = len(streams) * count
+    out = (np.empty(size) if buf is None else buf[:size]).reshape(len(streams), count)
     for g, row in zip(streams, out):
         if normal:
             g.standard_normal(out=row)
@@ -116,7 +118,8 @@ def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int):
     U holds uniform slots 0..n_uniform-1 and Z normal slots
     0..n_normal-1 of paths start..stop-1, one row per path.  The
     arguments are checked at the call, the blocks are read as they are
-    taken.
+    taken, each into the same U and Z buffers, so a caller that keeps a
+    block past the next one copies it.
     """
     if paths <= 0:
         raise ValueError("at least one path required")
@@ -125,10 +128,11 @@ def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int):
     normal = [_stream(seed, 1, j) for j in range(n_normal)]
 
     def blocks():
+        ubuf, zbuf = (np.empty(n * min(paths, _PATH_BLOCK)) for n in (n_uniform, n_normal))
         for start in range(0, paths, _PATH_BLOCK):
             stop = min(start + _PATH_BLOCK, paths)
-            yield (start, stop, _read(uniform, stop - start, False),
-                   _read(normal, stop - start, True))
+            yield (start, stop, _read(uniform, stop - start, False, ubuf),
+                   _read(normal, stop - start, True, zbuf))
     return blocks()
 
 
@@ -706,7 +710,11 @@ class OrthonormalGenerator:
         return ((start, stop, self.rows(U, Z, n_terms)) for start, stop, U, Z in blocks)
 
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
-        return np.concatenate([phi.T for _, _, phi in self._blocks(n_terms, paths, seed)])
+        blocks = self._blocks(n_terms, paths, seed)
+        out = np.empty((paths, n_terms))
+        for start, stop, phi in blocks:
+            out[start:stop] = phi.T
+        return out
 
 
 def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,

@@ -18,8 +18,11 @@ PATHS = 40_000
 
 
 def draw(seed: int, paths: int, n_uniform: int, n_normal: int):
-    """Every block of the block reader, stacked: uniforms U and normals Z."""
-    blocks = list(_path_blocks(seed, paths, n_uniform, n_normal))
+    """Every block of the block reader, stacked: uniforms U and normals Z.
+
+    Each block is copied, since the reader reads the next one over it."""
+    blocks = [(start, stop, U.copy(), Z.copy())
+              for start, stop, U, Z in _path_blocks(seed, paths, n_uniform, n_normal)]
     assert [b[:2] for b in blocks] == \
         [(a, min(a + processes._PATH_BLOCK, paths))
          for a in range(0, paths, processes._PATH_BLOCK)]
@@ -820,6 +823,14 @@ def test_trigonometric_rows_shared_frequency():
     for n in (2, 3):
         expect = math.sqrt(2.0) * np.cos(2 * math.pi * n * w)
         assert np.allclose(np.abs(phi[:, n - 1]), np.abs(expect), atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher", "trigonometric"])
+def test_sample_matrix_keeps_every_block(monkeypatch, kind):
+    # the block reader reads each block over the previous one
+    monkeypatch.setattr(processes, "_PATH_BLOCK", 7)
+    phi = om.OrthonormalGenerator(kind).sample_matrix(3, 30, seed=4)
+    assert phi.tobytes() == path_major_rows(kind, 3, 30, seed=4).tobytes()
 
 
 # ---------------------------------------------------------------------------

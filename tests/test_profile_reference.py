@@ -16,6 +16,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -85,7 +86,7 @@ def measures(index: om.IndexSet, seed: int) -> list[om.DiscreteMeasure]:
 def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
     order, seg = ref_profile(index)
     prof = index.profile
-    assert prof.order.dtype == order.dtype
+    assert prof.order.dtype == np.min_scalar_type(len(index) - 1)
     np.testing.assert_array_equal(prof.order, order)
     np.testing.assert_array_equal(prof.seg, seg)
     n = len(index)
@@ -149,6 +150,23 @@ def test_integrals_do_not_depend_on_the_core_count(n, monkeypatch):
             assert (split[0][0], split[-1][1]) == (0, n)
             assert max(b - a for a, b in split) - min(b - a for a, b in split) <= 1
         assert len(shares) == 3 * k
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_tiny_and_zero_weights_keep_the_clamp(cores, monkeypatch):
+    # a row whose own weight is below 1e-300 needs the clamp, so its block
+    # keeps it; on one core the block of rows 381..507 has none and skips it
+    index = power_set(513)
+    w = np.full(513, 1.0 / 508)
+    w[[5, 300, 302]] = 1e-310
+    w[[130, 510]] = 0.0
+    m = om.DiscreteMeasure(index, w)
+    monkeypatch.setattr(series, "_cores", lambda: cores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a zero row without the clamp would divide by zero
+        vals = m.integrals
+    np.testing.assert_array_equal(vals, ref_integral_rows(m, *ref_profile(index)))
+    assert np.all(np.isfinite(vals[[5, 300, 302]]))
 
 
 @pytest.mark.parametrize("n, cores", [(65, None), (65, 3), (256, 3), (257, 3), (300, 2),
@@ -255,6 +273,7 @@ def test_integral_rows_work_in_bounded_memory():
     m = om.DiscreteMeasure.uniform(index)
     cold = _peak_above_start(lambda: m.integrals)
     prof = index.profile
+    assert prof.order.nbytes + prof.seg.nbytes == 10 * 2049 ** 2
     assert cold <= prof.order.nbytes + prof.seg.nbytes + 4 * MIB
     # a fresh measure on the same set reuses the profile but not the
     # integrals, so this is a whole pass over the rows
