@@ -15,10 +15,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -182,28 +181,27 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 # index set
 
 
-# Entries per block of rows.  A block's float temporaries take 512 KiB, so
-# they stay in cache where whole (P, P) temporaries did not: 31 rows at
-# P = 2049, and one block holding every row up to P = 256.  A pass over the
-# integrals holds one such temporary, and one intp index buffer of the same
-# size, per core it runs on.
+# Entries per block.  A block's float temporaries take 512 KiB, so they stay
+# in cache where whole (P, P) temporaries did not.  The profile is built one
+# block of rows at a time (31 rows at P = 2049, one block holding every row up
+# to P = 256), and a pass over the integrals reads it one block of steps at a
+# time (24 steps at P = 2049, a multiple of 8), with one intp index buffer of
+# the same size.
 _BLOCK_ITEMS = 1 << 16
 
+# numpy sums a contiguous row pairwise, in leaves of at most this many entries.
+_PAIRWISE_LEAF = 128
 
-def _row_blocks(n: int, start: int = 0, stop: int | None = None) -> list[slice]:
-    """Consecutive row slices of range(start, stop), each of _BLOCK_ITEMS // n
-    rows or one; stop defaults to n."""
+# From this many points a pass adds the running masses one step at a time:
+# each call makes P independent additions, where a cumsum along the step
+# axis walks one strided column at a time.
+_STEPWISE_FROM = 256
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive row slices of range(n), each of _BLOCK_ITEMS // n rows or one."""
     step = max(1, _BLOCK_ITEMS // n)
-    stop = n if stop is None else stop
-    return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
-
-
-def _cores() -> int:
-    """How many cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity, such as macOS
-        return os.cpu_count() or 1
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 class _DistanceProfile(NamedTuple):
@@ -263,24 +261,29 @@ class IndexSet:
     def profile(self) -> _DistanceProfile:
         """Each row's distance order and sqrt-distance increments, 10 P^2 bytes.
 
-        The order is stored in the smallest unsigned type that holds P - 1:
-        uint16 from 257 to 65536 points, uint8 below (9 P^2 bytes), uint32
-        above (12 P^2).  A stable argsort orders each row on its own, so
-        building it one block of rows at a time gives the same arrays as one
-        whole sort.
+        ``order[t, k]`` is the k-th nearest point to t and ``seg[t, k]`` the
+        k-th step of the integral.  Both are column-major, so ``order.T``
+        and ``seg.T`` hold one contiguous row per step, as the integral
+        pass reads them.  The order is stored in the smallest unsigned type
+        that holds P - 1: uint16 from 257 to 65536 points, uint8 below
+        (9 P^2 bytes), uint32 above (12 P^2).  A stable argsort orders each
+        row on its own, so building it one block of rows at a time gives the
+        same arrays as one whole sort.
         """
         pts = self.points
         n = pts.size
         root_d = math.sqrt(self.diameter)
-        order = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-        seg = np.empty((n, n))
+        order = np.empty((n, n), dtype=np.min_scalar_type(n - 1), order="F")
+        seg = np.empty((n, n), order="F")
         for rows in _row_blocks(n):
             dist = np.abs(pts[None, :] - pts[rows, None])
             block = np.argsort(dist, axis=1, kind="stable")
             order[rows] = block
             sq = np.sqrt(np.take_along_axis(dist, block, axis=1))
-            np.subtract(sq[:, 1:], sq[:, :-1], out=seg[rows, :-1])
-            np.subtract(root_d, sq[:, -1], out=seg[rows, -1])
+            # difference row-major, then copy: into a strided out= the build
+            # takes about 10 ms more at P = 2049
+            seg[rows, :-1] = sq[:, 1:] - sq[:, :-1]
+            seg[rows, -1] = root_d - sq[:, -1]
         return _DistanceProfile(order, seg)
 
     def position(self, t: float) -> int:
@@ -467,59 +470,123 @@ class DiscreteMeasure:
         t in T, summed over the index set's ``profile``; +inf where the point
         carries no mass.  Built on first use and freed with the measure.
 
-        The rows are split into one contiguous share per core the process
-        may run on (at most one per full row block, since a share of a few
-        rows costs more than it saves), of nearly equal row counts;
-        the caller sums the first share and one thread each the others.
-        Every row goes through the same ufuncs in the same order whatever
-        share holds it, so the values do not depend on the core count.
+        One pass on the calling thread reads the profile step-major, block
+        by block (``_step_integrands``), and sums each point's steps in
+        numpy's pairwise order (``_pairwise_columns``), so every value is
+        bit for bit the row sum of the dense (P, P) integrand.
         """
-        prof, w = self.index_set.profile, self.weights
-        n = w.size
-        vals = np.empty(n)
-        k = min(_cores(), n // max(1, _BLOCK_ITEMS // n))  # full blocks
-        if k <= 1:
-            _integrate_rows(prof, w, vals, 0, n)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            edges = [n * i // k for i in range(k + 1)]
-            with ThreadPoolExecutor(k - 1) as pool:
-                futures = [pool.submit(_integrate_rows, prof, w, vals, a, b)
-                           for a, b in zip(edges[1:-1], edges[2:])]
-                _integrate_rows(prof, w, vals, 0, edges[1])
-                for f in futures:
-                    f.result()
+        w = self.weights
+        vals = np.empty(w.size)
+        _pairwise_columns(_step_integrands(self.index_set.profile, w), w.size, vals)
         vals[w == 0.0] = math.inf
         vals.setflags(write=False)
         return vals
 
 
-def _integrate_rows(prof: _DistanceProfile, w: np.ndarray, out: np.ndarray,
-                    start: int, stop: int) -> None:
-    """Write the integrals of rows start..stop-1 into out, block by block.
+def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarray]:
+    """The integrand seg[t, k] * m_t(k)^(-1/2) of every point t, one block of
+    steps k at a time: (steps, P) arrays of a multiple of 8 steps, but the last.
 
-    Each block's order is widened into one intp buffer, sized for the
-    share's first (largest) block: widening and then gathering through
-    intp indices costs about half as much as gathering through the
-    stored narrow type.
-    Row t's order starts at t, so its running mass starts at w_t and never
-    decreases: a block whose row weights are all at least 1e-300 skips the
-    clamp, which would change nothing there.
+    m_t(k) is the running mass of t's k + 1 nearest points.  Each block's
+    order is widened into one reused intp buffer and gathered, the last
+    running masses of the block before are added to its first step, and
+    the masses are accumulated along the steps: every point's additions
+    are those of a cumsum along its row, in the same order.  Point t's
+    running mass starts at w_t and never decreases, so the clamp at 1e-300
+    changes nothing unless some weight is below it.  A block yielded is
+    not touched again.
     """
-    blocks = _row_blocks(w.size, start, stop)  # a single point has seg 0, so f = 0
-    low = np.minimum.reduceat(w[:stop], [rows.start for rows in blocks]) < 1e-300
-    idx = np.empty((blocks[0].stop - blocks[0].start, w.size), dtype=np.intp)
-    for rows, clamp in zip(blocks, low.tolist()):
-        ix = idx[:rows.stop - rows.start]
-        np.copyto(ix, prof.order[rows])
+    n = w.size
+    order, seg = prof.order.T, prof.seg.T
+    clamp = w.min() < 1e-300
+    step = max(8, _BLOCK_ITEMS // n // 8 * 8)
+    idx = np.empty((min(step, n), n), dtype=np.intp)
+    carry = np.empty(n)
+    for k0 in range(0, n, step):
+        ix = idx[:min(step, n - k0)]
+        np.copyto(ix, order[k0:k0 + step])
         cum = w[ix]
-        cum.cumsum(axis=1, out=cum)
+        if k0:
+            cum[0] += carry
+        if n >= _STEPWISE_FROM:
+            for k in range(1, len(cum)):
+                np.add(cum[k - 1], cum[k], out=cum[k])
+        else:
+            np.cumsum(cum, axis=0, out=cum)
+        np.copyto(carry, cum[-1])
         if clamp:
             np.maximum(cum, 1e-300, out=cum)
         cum **= -0.5
-        cum *= prof.seg[rows]
-        cum.sum(axis=1, out=out[rows])
-        del cum  # freed before the next block is gathered
+        cum *= seg[k0:k0 + step]
+        yield cum
+
+
+def _pairwise_columns(blocks: Iterable[np.ndarray], n: int, out: np.ndarray) -> None:
+    """Write into ``out`` the column sums of the (n, out.size) array x that
+    ``blocks`` yields in consecutive blocks of a multiple of 8 rows (the
+    last may be shorter), bit for bit ``np.ascontiguousarray(x.T).sum(axis=1)``.
+
+    numpy sums a contiguous row of n entries pairwise: it splits the row
+    at n // 2 rounded down to a multiple of 8 until a part has at most
+    _PAIRWISE_LEAF entries; sums such a leaf in 8 interleaved accumulators,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    adds the fewer than 8 entries left one by one (below 8 entries, all of
+    them onto 0.0); adds the parts back up the same tree; and adds the
+    root to the initial 0.0.  Here every column goes through those
+    additions at once.  Leaves start on multiples of 8, so each group of 8
+    rows lies in one block and one leaf.
+    """
+    # each leaf's start, the end of its groups of 8, and its stop
+    leaves = iter([(a, b - (b - a) % 8, b) for a, b in _pairwise_leaves(n)])
+    start, full, stop = next(leaves)
+    acc = np.empty((8, out.size))
+    sums, leaf, k = [], None, 0
+    for block in blocks:
+        for i in range(0, len(block), 8):
+            rows = block[i:i + 8]
+            if k < full:
+                if k == start:
+                    np.copyto(acc, rows)
+                else:
+                    acc += rows
+                if k + 8 == full:
+                    pairs = acc[0::2] + acc[1::2]
+                    quads = pairs[0::2] + pairs[1::2]
+                    leaf = quads[0] + quads[1]
+            else:  # the leaf's last len(rows) < 8 entries
+                if leaf is None:
+                    leaf = np.zeros(out.size)
+                for row in rows:
+                    leaf += row
+            k += len(rows)
+            if k == stop:
+                sums.append(leaf)
+                start, full, stop = next(leaves, (n, n, n))
+                leaf = None
+    np.add(0.0, _pairwise_join(n, iter(sums)), out=out)
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise summation splits a part of n > _PAIRWISE_LEAF entries."""
+    return n // 2 - n // 2 % 8
+
+
+def _pairwise_leaves(n: int, start: int = 0) -> list[tuple[int, int]]:
+    """(start, stop) of each leaf of numpy's pairwise summation of n entries."""
+    if n <= _PAIRWISE_LEAF:
+        return [(start, start + n)]
+    half = _pairwise_split(n)
+    return _pairwise_leaves(half, start) + _pairwise_leaves(n - half, start + half)
+
+
+def _pairwise_join(n: int, sums: Iterator[np.ndarray]) -> np.ndarray:
+    """Add the leaf sums of a part of n entries, in order, up numpy's tree."""
+    if n <= _PAIRWISE_LEAF:
+        return next(sums)
+    half = _pairwise_split(n)
+    left = _pairwise_join(half, sums)
+    left += _pairwise_join(n - half, sums)
+    return left
 
 
 def _is(value, kind: type) -> bool:

@@ -1,20 +1,19 @@
-"""The row-blocked distance profile and ball integrals against dense references.
+"""The distance profile and ball integrals against dense references.
 
 The references below sort and integrate every row at once, on whole
-(P, P) arrays.  The library works on blocks of rows, and splits the
-integrals into one share of rows per core, with the same ufuncs in the
-same order, so every array and every value must match exactly, with no
-tolerance, whatever the core count.  The profile is stored on its index set
-and the integrals on their measure, so each must be freed with its owner.
+(P, P) arrays.  The library builds the profile in blocks of rows and
+integrates it in blocks of steps, adding each row's running masses in the
+same order and summing its steps in numpy's pairwise order, so every
+array and every value must match exactly, with no tolerance.  The profile
+is stored on its index set and the integrals on their measure, so each
+must be freed with its owner.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import gc
 import math
-import os
 import threading
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -25,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
-from orthomm import series
 from orthomm.functionals import _subgradient_row
-from orthomm.series import _row_blocks
+from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands
 
 MIB = 1 << 20
 
@@ -87,6 +85,7 @@ def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
     order, seg = ref_profile(index)
     prof = index.profile
     assert prof.order.dtype == np.min_scalar_type(len(index) - 1)
+    assert prof.order.flags.f_contiguous and prof.seg.flags.f_contiguous
     np.testing.assert_array_equal(prof.order, order)
     np.testing.assert_array_equal(prof.seg, seg)
     n = len(index)
@@ -102,66 +101,56 @@ def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
 # Up to 256 points one block holds every row; these larger sizes end on a
 # short block or on a full one.
 BLOCK_SPLITS = {257: [255, 2], 511: [128] * 3 + [127], 512: [128] * 4,
-                513: [127] * 4 + [5]}
+                513: [127] * 4 + [5], 2049: [31] * 66 + [3]}
+
+# A pass reads blocks of a multiple of 8 steps, so 257, 511, 513 and 2049
+# steps end on a short block.  numpy sums a row of up to 128 entries in one
+# leaf and splits longer ones, so 7-9, 127-129 and 255-257 steps end a leaf
+# or a group of 8 partway.
+STEP_SPLITS = {257: [248, 9], 511: [128] * 3 + [127], 512: [128] * 4,
+               513: [120] * 4 + [33], 2049: [24] * 85 + [9]}
 
 
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 67, 257, 511, 512, 513])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 32, 33, 67, 127, 128, 129, 255, 256,
+                               257, 511, 512, 513, 2049])
 def test_blocks_match_dense_reference(n):
     assert [len(range(n)[rows]) for rows in _row_blocks(n)] == BLOCK_SPLITS.get(n, [n])
     index = power_set(n)
+    uniform = om.DiscreteMeasure.uniform(index)
+    steps = [len(block) for block in _step_integrands(index.profile, uniform.weights)]
+    assert steps == STEP_SPLITS.get(n, [n])
     assert_matches_reference(index, seed=n)
     if n > 2:
         sparse = measures(index, seed=n)[2]
         assert np.any(sparse.weights == 0.0)
 
 
-def spy_shares(monkeypatch) -> list[tuple[int, int]]:
-    """Record the (start, stop) rows of every share an integral pass sums."""
-    shares = []
-    integrate = series._integrate_rows
-
-    def spy(prof, w, out, start, stop):
-        shares.append((start, stop))
-        integrate(prof, w, out, start, stop)
-
-    monkeypatch.setattr(series, "_integrate_rows", spy)
-    return shares
-
-
-# Full row blocks, which cap the share count: 257 rows make one full block
-# and a 2-row stub, 513 rows four full blocks and a 5-row stub.
-FULL_BLOCKS = {257: 1, 513: 4, 2049: 66}
-
-
-@pytest.mark.parametrize("n", [257, 513, 2049])
-def test_integrals_do_not_depend_on_the_core_count(n, monkeypatch):
-    # shares are balanced by rows, so at 513 rows a share of two or three
-    # ends inside a block
-    index = power_set(n)
-    shares = spy_shares(monkeypatch)
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(series, "_cores", lambda: cores)
-        shares.clear()
-        assert_matches_reference(index, seed=n)
-        k = min(cores, FULL_BLOCKS[n])
-        for measure in range(3):
-            split = sorted(shares[k * measure:k * (measure + 1)])
-            assert [a for a, _ in split[1:]] == [b for _, b in split[:-1]]
-            assert (split[0][0], split[-1][1]) == (0, n)
-            assert max(b - a for a, b in split) - min(b - a for a, b in split) <= 1
-        assert len(shares) == 3 * k
+def test_pass_sums_rows_in_numpys_pairwise_order():
+    # numpy sums a contiguous row pairwise; the pass sums each point's steps
+    # the same way, fed in blocks of 8, 24 and n steps.  A numpy release that
+    # changes its summation order fails here, not in a report.
+    rng = np.random.default_rng(7)
+    wrong = []
+    for n in list(range(1, 301)) + [1025, 2049, 4097]:
+        x = rng.random((6, n)) * 10.0 ** rng.integers(-8, 9, size=(6, n))
+        steps = np.ascontiguousarray(x.T)
+        expected = x.sum(axis=1).tobytes()
+        for size in (8, 24, n):
+            out = np.empty(6)
+            _pairwise_columns((steps[a:a + size] for a in range(0, n, size)), n, out)
+            if out.tobytes() != expected:
+                wrong.append((n, size))
+    assert wrong == []
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_tiny_and_zero_weights_keep_the_clamp(cores, monkeypatch):
-    # a row whose own weight is below 1e-300 needs the clamp, so its block
-    # keeps it; on one core the block of rows 381..507 has none and skips it
+def test_tiny_and_zero_weights_keep_the_clamp():
+    # a point whose own weight is below 1e-300 needs the clamp, so every
+    # block of the pass takes it
     index = power_set(513)
     w = np.full(513, 1.0 / 508)
     w[[5, 300, 302]] = 1e-310
     w[[130, 510]] = 0.0
     m = om.DiscreteMeasure(index, w)
-    monkeypatch.setattr(series, "_cores", lambda: cores)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero row without the clamp would divide by zero
         vals = m.integrals
@@ -169,16 +158,11 @@ def test_tiny_and_zero_weights_keep_the_clamp(cores, monkeypatch):
     assert np.all(np.isfinite(vals[[5, 300, 302]]))
 
 
-@pytest.mark.parametrize("n, cores", [(65, None), (65, 3), (256, 3), (257, 3), (300, 2),
-                                      (2049, 1)])
-def test_one_share_starts_no_thread(n, cores, monkeypatch):
-    # up to 256 points (the default pipeline has 65) one block holds every
-    # row; below 362 points one block is full and the other is shorter; and
-    # a process on one core sums every block itself
+@pytest.mark.parametrize("n", [65, 257, 2049])
+def test_a_pass_starts_no_thread(n, monkeypatch):
+    # one block up to 256 points (the default pipeline has 65), several above
     index = power_set(n)
     index.profile
-    if cores is not None:
-        monkeypatch.setattr(series, "_cores", lambda: cores)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("an executor was constructed")
@@ -188,36 +172,6 @@ def test_one_share_starts_no_thread(n, cores, monkeypatch):
     m = om.DiscreteMeasure.uniform(index)
     assert m.integrals.shape == (n,)
     assert threading.active_count() == before
-
-
-def test_core_count_without_affinity_call_is_the_cpu_count(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert series._cores() == (os.cpu_count() or 1)
-
-
-def test_failing_share_reaches_the_caller_after_every_share_ends(monkeypatch):
-    index = power_set(513)
-    index.profile
-    monkeypatch.setattr(series, "_cores", lambda: 3)
-    integrate = series._integrate_rows
-    ended = []
-
-    def share(prof, w, out, start, stop):
-        if start == 171:
-            raise RuntimeError("share failed")
-        if start == 342:
-            time.sleep(0.2)
-        integrate(prof, w, out, start, stop)
-        ended.append(start)
-
-    monkeypatch.setattr(series, "_integrate_rows", share)
-    before = threading.active_count()
-    m = om.DiscreteMeasure.uniform(index)
-    with pytest.raises(RuntimeError, match="share failed"):
-        m.integrals
-    assert sorted(ended) == [0, 342]
-    assert threading.active_count() == before
-    assert "integrals" not in vars(m)
 
 
 def test_tied_distances_put_the_left_point_first():
