@@ -143,34 +143,45 @@ def test_pass_sums_rows_in_numpys_pairwise_order():
     assert wrong == []
 
 
-def test_tiny_and_zero_weights_keep_the_clamp():
+@pytest.mark.parametrize("tiny", [1, 2, 3])
+def test_tiny_and_zero_weights_keep_the_clamp(tiny):
     # a point whose own weight is below 1e-300 needs the clamp, so every
-    # block of the pass takes it
+    # block of the pass takes it; the first 1, 2 or 3 of points 5, 300 and
+    # 302 get such a weight (300 and 302 tie as neighbours of 301)
     index = power_set(513)
-    w = np.full(513, 1.0 / 508)
-    w[[5, 300, 302]] = 1e-310
+    w = np.full(513, 1.0 / (511 - tiny))
+    small = [5, 300, 302][:tiny]
+    w[small] = 1e-310
     w[[130, 510]] = 0.0
     m = om.DiscreteMeasure(index, w)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a zero row without the clamp would divide by zero
         vals = m.integrals
     np.testing.assert_array_equal(vals, ref_integral_rows(m, *ref_profile(index)))
-    assert np.all(np.isfinite(vals[[5, 300, 302]]))
+    assert np.all(np.isfinite(vals[small]))
 
 
-@pytest.mark.parametrize("n", [65, 257, 2049])
-def test_a_pass_starts_no_thread(n, monkeypatch):
-    # one block up to 256 points (the default pipeline has 65), several above
+@pytest.mark.parametrize("n, passes", [(65, None), (65, 3), (256, 3), (257, 3), (300, 2),
+                                       (2049, 1)])
+def test_one_share_starts_no_thread(n, passes, monkeypatch):
+    # a pass is one share of every point, summed on the calling thread: one
+    # row block up to 256 points (the default pipeline has 65), several
+    # above.  With ``passes`` None the profile is built inside the check
+    # too; otherwise it is built first and that many measures take a pass.
     index = power_set(n)
-    index.profile
+    chosen = [om.DiscreteMeasure.uniform(index)]
+    if passes is not None:
+        index.profile
+        chosen = measures(index, seed=n)[:passes]
 
     def no_pool(*args, **kwargs):
         raise AssertionError("an executor was constructed")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     before = threading.active_count()
-    m = om.DiscreteMeasure.uniform(index)
-    assert m.integrals.shape == (n,)
+    for m in chosen:
+        assert m.integrals.shape == (n,)
+    assert "profile" in vars(index)
     assert threading.active_count() == before
 
 
