@@ -196,7 +196,7 @@ _PAIRWISE_LEAF = 128
 # each call makes P independent additions, where a cumsum along the step
 # axis walks one strided column at a time.  Both make the same additions;
 # the cumsum takes half the time of the per-step loop at P = 65 and a third
-# less at 129, the two are within 3% from 257 to 320 points, and the loop
+# less at 129, the two are within 4% from 257 to 320 points, and the loop
 # takes 10% less at 513 and 30% less at 2049 (BENCH_step_major.json).
 _STEPWISE_FROM = 256
 
