@@ -194,11 +194,12 @@ _PAIRWISE_LEAF = 128
 
 # From this many points a pass adds the running masses one step at a time:
 # each call makes P independent additions, where a cumsum along the step
-# axis walks one strided column at a time.  Both make the same additions;
-# the cumsum takes half the time of the per-step loop at P = 65 and a third
-# less at 129, the two are within 4% from 257 to 320 points, and the loop
-# takes 10% less at 513 and 30% less at 2049 (BENCH_step_major.json).
-_STEPWISE_FROM = 256
+# axis walks one strided column at a time.  Both make the same additions.
+# Per pass, the per-step loop takes 40% more time than the cumsum at P = 65
+# and 29% more at 129, the two are within 4% from 160 to 192 points, and the
+# loop takes 8% less at 257, 25% less at 513 and 42% less at 2049
+# (BENCH_sqrt_divide.json).
+_STEPWISE_FROM = 192
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -476,7 +477,10 @@ class DiscreteMeasure:
         One pass on the calling thread reads the profile step-major, block
         by block (``_step_integrands``), and sums each point's steps in
         numpy's pairwise order (``_pairwise_columns``), so every value is
-        bit for bit the row sum of the dense (P, P) integrand.
+        bit for bit the row sum of the dense (P, P) integrand
+        seg / sqrt(m): only additions, sqrt and division, which round
+        correctly, so the values do not depend on the CPU or on numpy's
+        dispatch level.
         """
         w = self.weights
         vals = np.empty(w.size)
@@ -487,7 +491,7 @@ class DiscreteMeasure:
 
 
 def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarray]:
-    """The integrand seg[t, k] * m_t(k)^(-1/2) of every point t, one block of
+    """The integrand seg[t, k] / sqrt(m_t(k)) of every point t, one block of
     steps k at a time: (steps, P) arrays of a multiple of 8 steps, but the last.
 
     m_t(k) is the running mass of t's k + 1 nearest points.  Each block's
@@ -496,7 +500,11 @@ def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarr
     the masses are accumulated along the steps: every point's additions
     are those of a cumsum along its row, in the same order.  Point t's
     running mass starts at w_t and never decreases, so the clamp at 1e-300
-    changes nothing unless some weight is below it.  A block yielded is
+    changes nothing unless some weight is below it.  The masses are then
+    replaced in place by their sqrt and seg divided by them: both round
+    correctly, so each entry lies within 1.5 ulps of the exact quotient,
+    and every kernel numpy may dispatch computes the same bits (its power
+    kernels differ between AVX-512 and other CPUs).  A block yielded is
     not touched again.
     """
     n = w.size
@@ -512,15 +520,16 @@ def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarr
         if k0:
             cum[0] += carry
         if n >= _STEPWISE_FROM:
-            for k in range(1, len(cum)):
-                np.add(cum[k - 1], cum[k], out=cum[k])
+            rows = list(cum)
+            for prev, row in zip(rows, rows[1:]):
+                np.add(prev, row, out=row)
         else:
             np.cumsum(cum, axis=0, out=cum)
         np.copyto(carry, cum[-1])
         if clamp:
             np.maximum(cum, 1e-300, out=cum)
-        cum **= -0.5
-        cum *= seg[k0:k0 + step]
+        np.sqrt(cum, out=cum)
+        np.divide(seg[k0:k0 + step], cum, out=cum)
         yield cum
 
 

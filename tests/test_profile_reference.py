@@ -6,13 +6,19 @@ integrates it in blocks of steps, adding each row's running masses in the
 same order and summing its steps in numpy's pairwise order, so every
 array and every value must match exactly, with no tolerance.  The profile
 is stored on its index set and the integrals on their measure, so each
-must be freed with its owner.
+must be freed with its owner.  The integrand seg / sqrt(m) uses only
+correctly rounded operations, so its bits do not depend on the CPU, and
+it is checked against exact and extended-precision values.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import decimal
 import gc
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -49,7 +55,7 @@ def ref_integral_rows(measure: om.DiscreteMeasure, order: np.ndarray,
     if w.size == 1:
         return np.zeros(1)
     cum = np.cumsum(w[order], axis=1)
-    vals = (seg * np.maximum(cum, 1e-300) ** -0.5).sum(axis=1)
+    vals = (seg / np.sqrt(np.maximum(cum, 1e-300))).sum(axis=1)
     vals[w == 0.0] = math.inf
     return vals
 
@@ -257,3 +263,68 @@ def test_integrals_are_read_only_and_freed_with_their_measure():
     del m
     gc.collect()
     assert ref() is None
+
+
+def test_integrals_do_not_depend_on_numpys_cpu_dispatch():
+    # numpy picks a SIMD kernel per CPU (AVX-512 ones among them); its power
+    # kernels disagree in the last bit, while sqrt, divide and add round
+    # correctly in every kernel.  So a process barred from every dispatch
+    # target this CPU enables computes the same bytes.
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    build = ("om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 512)),"
+             " {'kind': 'dirichlet_random', 'seed': 5})")
+    script = (
+        "import sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "import orthomm as om\n"
+        f"assert not any(__cpu_features__[t] for t in {enabled!r})\n"
+        f"sys.stdout.write({build}.integrals.tobytes().hex())\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(om.__file__)), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 512))
+    m = om.make_measure(index, {"kind": "dirichlet_random", "seed": 5})
+    assert bytes.fromhex(out) == m.integrals.tobytes()
+
+
+@pytest.mark.parametrize("n", [65, 513])
+def test_integrands_lie_within_one_and_a_half_ulps(n):
+    # sqrt(m) is off by at most half an ulp of itself, which moves
+    # seg / sqrt(m) by less than one ulp of the quotient, and the division
+    # adds half an ulp.  Checked on sampled entries of every block against
+    # the exact quotient of the same running mass m (below 1.5 ulps is all
+    # that holds: about 0.6% of entries lie between 1 and 1.31 ulps).
+    index = power_set(n)
+    w = measures(index, seed=n)[1].weights
+    prof = index.profile
+    cum = np.cumsum(w[prof.order], axis=1)  # the pass's running masses
+    rng = np.random.default_rng(n)
+    worst, k0 = 0.0, 0
+    with decimal.localcontext(prec=60) as ctx:
+        for block in _step_integrands(prof, w):
+            for k, t in zip(rng.integers(0, len(block), 400), rng.integers(0, n, 400)):
+                exact = decimal.Decimal(prof.seg[t, k0 + k]) / ctx.sqrt(
+                    decimal.Decimal(cum[t, k0 + k]))
+                err = abs(decimal.Decimal(block[k, t]) - exact)
+                worst = max(worst, float(err / decimal.Decimal(math.ulp(float(exact)))))
+            k0 += len(block)
+    assert k0 == n
+    assert worst < 1.5
+
+
+@pytest.mark.parametrize("n", [513, 2049])
+def test_integrals_match_an_extended_precision_sum(n):
+    # each point's integrand summed in np.longdouble from the same running
+    # masses; the pass's sum of n rounded terms stays within 1e-15 relative
+    index = power_set(n)
+    prof = index.profile
+    for m in measures(index, seed=n)[:2]:
+        ref = np.empty(n, dtype=np.longdouble)
+        for rows in _row_blocks(n):
+            cum = np.cumsum(m.weights[prof.order[rows]], axis=1)
+            ref[rows] = (prof.seg[rows] / np.sqrt(cum.astype(np.longdouble))).sum(axis=1)
+        assert np.max(np.abs((m.integrals - ref) / ref)) <= 1e-15
