@@ -83,11 +83,17 @@ def _optimizer_options(args, **extra) -> OptimizerOptions:
     return OptimizerOptions(max_iters=args.max_iters, tol=args.tol, **extra)
 
 
-def _parse_measure(arg: str, args):
-    """Load and check ``arg`` now; return the builder of its measure on an index set."""
+def _parse_measure(arg: str, args, index_set=None):
+    """Load and check ``arg`` now; return the builder of its measure on an index set.
+
+    Explicit weights are also checked now against ``index_set()`` when it is
+    given, which needs no distance profile.
+    """
     if arg == "optimize":
         return lambda index_set: minimize_strong(index_set, _optimizer_options(args)).measure
     spec = check_measure_spec(arg if arg == "uniform" else _load_json_arg(arg, "measure"))
+    if index_set is not None and spec["kind"] == "explicit":
+        make_measure(index_set(), spec)
     return lambda index_set: make_measure(index_set, spec)
 
 
@@ -207,12 +213,12 @@ def cmd_adversarial(args):
 def cmd_verify(args):
     if args.suite != "skeleton":
         _require_seed(args)
-    # --coeffs and --measure are parsed first, so a bad value stops the
-    # run before any suite; the index set and measure, which skeleton and
-    # lemma4 do not read, are built on first use.
+    # --coeffs and --measure are parsed first, so a bad value, explicit
+    # weights of the wrong count included, stops the run before any suite;
+    # the measure, which skeleton and lemma4 do not read, is built on first use.
     seq = _parse_coeffs(args.coeffs)
-    build_measure = _parse_measure(args.measure, args)
     index_set = functools.cache(lambda: _build_objects(seq)[0])
+    build_measure = _parse_measure(args.measure, args, index_set)
     measure = functools.cache(lambda: build_measure(index_set()))
     suites = {
         "skeleton": checks.suite_skeleton,

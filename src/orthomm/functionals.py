@@ -79,9 +79,10 @@ def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
     prof = measure.index_set.profile
     order = prof.order[row]
     seg = prof.seg[row]
-    # the clip keeps mass**-1.5 inside float range for near-zero weights
+    # the clip keeps mass**-1.5 inside float range for near-zero weights;
+    # sqrt and division round correctly on every CPU, where power does not
     cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
-    contrib = -0.5 * seg * cum ** -1.5
+    contrib = -0.5 * seg / (cum * np.sqrt(cum))
     suffix = np.cumsum(contrib[::-1])[::-1]
     g = np.empty_like(suffix)
     g[order] = suffix
@@ -148,8 +149,8 @@ def _dyadic_rows(measure: DiscreteMeasure) -> np.ndarray:
         for k in range(1, sep + 1):
             starts = tree.cell_arrays(k)[0]
             masses = np.add.reduceat(w, starts)
-            rows += 2.0 ** -k * np.repeat(masses, np.diff(np.r_[starts, w.size])) ** -0.5
-        rows += 2.0 ** -sep * w ** -0.5
+            rows += 2.0 ** -k / np.sqrt(np.repeat(masses, np.diff(np.r_[starts, w.size])))
+        rows += 2.0 ** -sep / np.sqrt(w)
     return rows
 
 

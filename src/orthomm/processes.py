@@ -18,14 +18,16 @@ kappa, j).  Path i reads element i of each uniform and normal slot, and
 element r_i of its leaf's bridge slots, where r_i counts the paths before
 i that reach the same leaf.  So a path's values do not depend on the path
 count, and adding slots leaves the existing ones unchanged.  Every Monte
-Carlo reduction runs on consecutive blocks of ``_PATH_BLOCK`` paths and
-keeps one statistic per path, so no paths x points matrix is held; reading
-a stream in blocks gives the values of one bulk read, and no step mixes
-values across paths, so results do not depend on the block size.  The
-partial sums run slot by slot and keep each path's running extremes, 0
-included.  The adversarial sampler holds a block one row per point with
-its paths sorted by leaf; ``ProcessSampler.per_path`` reduces each block
-to a per-path statistic and undoes the sort on that statistic only.
+Carlo reduction runs on consecutive blocks of at most ``_PATH_BLOCK``
+paths and ``_BLOCK_ENTRIES`` entries of the widest per-path row, in
+arrays allocated once, and keeps one statistic per path, so its memory
+is bounded in the point count; reading a stream in blocks gives the
+values of one bulk read, and no step mixes values across paths, so
+results do not depend on the block size.  The partial sums run slot by
+slot and keep each path's running extremes, 0 included.  The adversarial
+sampler holds a block one row per point with its paths sorted by leaf;
+``ProcessSampler.per_path`` reduces each block to a per-path statistic
+and undoes the sort on that statistic only.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ __all__ = [
     "lower_bound_report",
 ]
 
-_PATH_BLOCK = 4096  # paths per Monte Carlo block
+_PATH_BLOCK = 4096  # most paths per Monte Carlo block
+_BLOCK_ENTRIES = 2 ** 20  # most paths x width of a block's widest per-path row
 _FRAC = np.arange(5.0) / 4.0  # s_skeleton's interpolation weights
 
 
@@ -99,11 +102,10 @@ def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, kind, *key))))
 
 
-def _read(streams: list, count: int, normal: bool, buf: np.ndarray | None = None) -> np.ndarray:
+def _read(streams: list, count: int, normal: bool, buf: np.ndarray) -> np.ndarray:
     """The next ``count`` values of each stream, one column per stream,
-    written over the start of ``buf`` when one is given."""
-    size = len(streams) * count
-    out = (np.empty(size) if buf is None else buf[:size]).reshape(len(streams), count)
+    written over the start of ``buf``."""
+    out = buf[:len(streams) * count].reshape(len(streams), count)
     for g, row in zip(streams, out):
         if normal:
             g.standard_normal(out=row)
@@ -112,25 +114,33 @@ def _read(streams: list, count: int, normal: bool, buf: np.ndarray | None = None
     return out.T
 
 
-def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int):
-    """(start, stop, U, Z) for consecutive blocks of ``_PATH_BLOCK`` paths.
+def _block_paths(paths: int, width: int) -> int:
+    """Paths per block for per-path rows ``width`` wide: at most
+    ``_PATH_BLOCK`` and ``_BLOCK_ENTRIES / width``, at least one."""
+    return max(1, min(paths, _PATH_BLOCK, _BLOCK_ENTRIES // max(width, 1)))
+
+
+def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int,
+                 block: int | None = None):
+    """(start, stop, U, Z) for consecutive blocks of ``block`` paths.
 
     U holds uniform slots 0..n_uniform-1 and Z normal slots
-    0..n_normal-1 of paths start..stop-1, one row per path.  The
-    arguments are checked at the call, the blocks are read as they are
-    taken, each into the same U and Z buffers, so a caller that keeps a
-    block past the next one copies it.
+    0..n_normal-1 of paths start..stop-1, one row per path; ``block``
+    defaults to the slot count's.  The arguments are checked at the call,
+    the blocks are read as they are taken, each into the same U and Z
+    buffers, so a caller that keeps a block past the next one copies it.
     """
     if paths <= 0:
         raise ValueError("at least one path required")
     _check_seed(seed)
+    block = block or _block_paths(paths, n_uniform + n_normal)
     uniform = [_stream(seed, 0, j) for j in range(n_uniform)]
     normal = [_stream(seed, 1, j) for j in range(n_normal)]
 
     def blocks():
-        ubuf, zbuf = (np.empty(n * min(paths, _PATH_BLOCK)) for n in (n_uniform, n_normal))
-        for start in range(0, paths, _PATH_BLOCK):
-            stop = min(start + _PATH_BLOCK, paths)
+        ubuf, zbuf = (np.empty(n * block) for n in (n_uniform, n_normal))
+        for start in range(0, paths, block):
+            stop = min(start + block, paths)
             yield (start, stop, _read(uniform, stop - start, False, ubuf),
                    _read(normal, stop - start, True, zbuf))
     return blocks()
@@ -347,15 +357,16 @@ class BridgeLeaf:
     def covariance(self) -> np.ndarray:
         return _bridge_covariance(self.local[:, None], self.local, self.level)
 
-    def values(self, z: np.ndarray) -> np.ndarray:
+    def values(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals.
 
         Row i runs the recursion over z[i], one elementwise multiply and
         add per slot, so it costs O(dim) and a row's value does not
         depend on how many rows come with it.  Fastest when ``z.T`` is
-        C-contiguous.
+        C-contiguous.  ``out``, when given, takes the transposed values
+        and may be ``z.T``.
         """
-        out = self.sigma[:, None] * np.asarray(z, dtype=float).T
+        out = np.multiply(self.sigma[:, None], np.asarray(z, dtype=float).T, out=out)
         for k in range(1, self.dim):
             out[k] += self.a[k] * out[k - 1]
         return out.T
@@ -399,10 +410,16 @@ class ProcessSampler:
         """Declared E (X(s) - X(t))**2 for this process."""
         raise NotImplementedError
 
-    def _blocks(self, paths: int, seed: int):
-        """(start, stop, vals, order), block by block: vals has one row per
-        point, its column i holds path start + order[i], and the next block
-        may be written over it."""
+    def _block(self, paths: int) -> int:
+        return _block_paths(paths, max(self.points.size, self.n_uniform_slots,
+                                       self.n_normal_slots))
+
+    def _blocks(self, paths: int, seed: int, scratch: np.ndarray | None = None):
+        """(start, stop, vals, order), block by block of ``_block(paths)``
+        paths: vals has one row per point, its column i holds path start +
+        order[i], and the next block may be written over it.  A block is
+        worked out in ``scratch`` (points x block, allocated when not
+        given), which the caller may use between blocks."""
         raise NotImplementedError
 
     def per_path(self, paths: int, seed: int, stat) -> np.ndarray:
@@ -482,17 +499,19 @@ class AdversarialSampler(ProcessSampler):
                                          int(starts[r]), int(stops[r])) for r in reached.tolist()}
         self.bridges = tuple(self._leaves.values())
 
-    def _blocks(self, paths: int, seed: int):
-        blocks = _path_blocks(seed, paths, self.n_uniform_slots, 0)
+    def _blocks(self, paths: int, seed: int, scratch: np.ndarray | None = None):
+        block = self._block(paths)
+        blocks = _path_blocks(seed, paths, self.n_uniform_slots, 0, block)
         streams = {}  # leaf row -> the normal slots of its bridge, opened on first reach
+        vals = np.empty(self.points.size * block)
+        buf = np.empty(vals.size) if scratch is None else scratch
 
         def normals(r: int, count: int) -> np.ndarray:
             if r not in streams:
                 b = self._leaves[r]
                 streams[r] = [_stream(seed, 2, b.cell_index, j) for j in range(b.dim)]
-            return _read(streams[r], count, True)
+            return _read(streams[r], count, True, buf)
 
-        vals, buf = (np.empty(self.points.size * min(paths, _PATH_BLOCK)) for _ in range(2))
         return ((start, stop, *self._evaluate(U, normals, vals, buf))
                 for start, stop, U, _ in blocks)
 
@@ -507,7 +526,7 @@ class AdversarialSampler(ProcessSampler):
         every level, so one ``searchsorted`` per level finds each row's run
         of columns and each cell adds its segment to its parent row's run;
         the paths reaching leaf row r take, in increasing order, the next
-        rows of ``normals(r, count)``.
+        rows of ``normals(r, count)``, which reads them over ``buf``.
         Returns the (points, paths) matrix, written over the storage of
         ``vals`` (``buf`` is scratch), whose column i holds path
         ``order[i]`` of the block, and ``order``.
@@ -557,7 +576,8 @@ class AdversarialSampler(ProcessSampler):
         for r, bridge in self._leaves.items():
             a, b = bounds[r], bounds[r + 1]
             if a < b and bridge.dim:
-                draws = bridge.values(normals(r, b - a)).T
+                zr = normals(r, b - a)  # written over buf, and so are the draws
+                draws = bridge.values(zr, out=zr.T).T
                 if mult is not None:
                     draws *= mult[a:b]
                 vals[bridge.positions[0]:bridge.positions[-1] + 1, a:b] += draws
@@ -598,12 +618,24 @@ class OrthogonalLift(ProcessSampler):
     def second_moment(self, s: float, t: float) -> float:
         return abs(s - t)
 
-    def _blocks(self, paths: int, seed: int):
-        # the linear term reads normal slot 0, which the adversarial sampler leaves alone
-        inner = self.inner._blocks(paths, seed)
-        lift = _path_blocks(seed, paths, 0, 1)
-        return ((start, stop, np.add(vals, self.points[:, None] * Z[order, 0], out=vals), order)
-                for (start, stop, vals, order), (_, _, _, Z) in zip(inner, lift))
+    def _block(self, paths: int) -> int:
+        return self.inner._block(paths)
+
+    def _blocks(self, paths: int, seed: int, scratch: np.ndarray | None = None):
+        # the linear term reads normal slot 0, which the adversarial sampler
+        # leaves alone, in the inner sampler's blocks and scratch
+        block = self._block(paths)
+        scratch = np.empty(self.points.size * block) if scratch is None else scratch
+        inner = self.inner._blocks(paths, seed, scratch)
+        normal, z = _stream(seed, 1, 0), np.empty(block)
+
+        def blocks():
+            for start, stop, vals, order in inner:
+                zo = normal.standard_normal(out=z[:stop - start])[order]
+                term = np.multiply(self.points[:, None], zo,
+                                   out=scratch[:vals.size].reshape(vals.shape))
+                yield start, stop, np.add(vals, term, out=vals), order
+        return blocks()
 
 
 def second_moment_oracle(
@@ -694,20 +726,38 @@ class OrthonormalGenerator:
     def normal_slots(self, n_terms: int) -> int:
         return n_terms if self.kind == "gaussian" else 0
 
-    def rows(self, U: np.ndarray, Z: np.ndarray, n_terms: int) -> np.ndarray:
-        """phi_1 .. phi_n of a block of paths, one row per slot, one column per path."""
+    def rows(self, U: np.ndarray, Z: np.ndarray, n_terms: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """phi_1 .. phi_n of a block of paths, one row per slot, one column
+        per path: a view of Z, signs written over U, or cosines written into
+        ``out`` (new when not given)."""
         if self.kind == "gaussian":
             return Z.T[:n_terms]
         if self.kind == "rademacher":
-            return np.where(U.T[:n_terms] < 0.5, 1.0, -1.0)
+            signs = np.greater_equal(U.T[:n_terms], 0.5, out=U.T[:n_terms])
+            signs *= -2.0
+            signs += 1.0  # +1 below one half, else -1
+            return signs
         freq = np.arange(1, n_terms + 1)
-        return math.sqrt(2.0) * np.cos(2.0 * math.pi * U.T[:1] * freq[:, None])
+        phi = np.multiply(2.0 * math.pi * U.T[:1], freq[:, None], out=out)
+        np.cos(phi, out=phi)
+        phi *= math.sqrt(2.0)
+        return phi
 
     def _blocks(self, n_terms: int, paths: int, seed: int):
-        """(start, stop, slot-major rows of paths start..stop-1), block by block."""
+        """(start, stop, slot-major rows of paths start..stop-1), block by
+        block; the next block is written over the rows."""
+        block = _block_paths(paths, n_terms)
         blocks = _path_blocks(seed, paths, self.uniform_slots(n_terms),
-                              self.normal_slots(n_terms))
-        return ((start, stop, self.rows(U, Z, n_terms)) for start, stop, U, Z in blocks)
+                              self.normal_slots(n_terms), block)
+        cosines = np.empty(n_terms * block) if self.kind == "trigonometric" else None
+
+        def rows():
+            for start, stop, U, Z in blocks:
+                out = None if cosines is None else \
+                    cosines[:n_terms * (stop - start)].reshape(n_terms, -1)
+                yield start, stop, self.rows(U, Z, n_terms, out)
+        return rows()
 
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
         blocks = self._blocks(n_terms, paths, seed)

@@ -356,6 +356,28 @@ def test_verify_rejects_bad_measure_before_any_suite(argv, message, capsys,
     assert message in err
 
 
+@pytest.mark.parametrize("suite", [*checks.SUITES, "all"])
+def test_verify_rejects_a_wrong_weight_count_in_every_suite(suite, capsys, monkeypatch):
+    # skeleton and lemma4 never build the measure; the weights are checked
+    # against the index set, which needs no profile, before any suite runs
+    def ran(*args, **kwargs):
+        pytest.fail("a suite ran")
+    for name in checks.SUITES:
+        monkeypatch.setattr(checks, f"suite_{name}", ran)
+    rc, out, err = run("verify", "--suite", suite, "--seed", "1", "--measure",
+                       '{"kind": "explicit", "weights": [1, 2, 3]}', capsys=capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: weight count must match index set size\n"
+
+
+def test_verify_accepts_a_right_weight_count_in_suites_that_build_no_measure(capsys):
+    weights = json.dumps({"kind": "explicit", "weights": [1] * 17})
+    for suite in ("skeleton", "lemma4"):
+        doc = run_json("verify", "--suite", suite, "--seed", "1", "--coeffs", SMALL,
+                       "--measure", weights, "--no-timestamp", capsys=capsys)
+        assert doc["report"]["passed"] is True
+
+
 def test_vacuous_suites_pass_on_singleton_sets():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
@@ -465,7 +487,7 @@ def test_bridge_suite_fails_a_bridge_with_a_tenth_more_variance(monkeypatch, see
     # increment checks at the default path count
     values = processes.BridgeLeaf.values
     monkeypatch.setattr(processes.BridgeLeaf, "values",
-                        lambda self, z: math.sqrt(1.1) * values(self, z))
+                        lambda self, z, out=None: math.sqrt(1.1) * values(self, z, out))
     measure = om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 16)),
                               "uniform")
     paths = cli._build_parser().parse_args(["verify", "--suite", "bridge"]).paths

@@ -672,6 +672,20 @@ def test_values_do_not_depend_on_the_block_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_values_do_not_depend_on_a_block_set_by_the_entries_budget(monkeypatch):
+    # 300 entries make blocks of 7 paths for 41 points and of 25 for 12
+    # terms, far below the path cap; the lift still reads its normal slot in
+    # the adversarial sampler's blocks, though its own slots would allow more
+    lift = om.OrthogonalLift(om.AdversarialSampler(sparse_measure(), 4))
+    whole = (lift.inner.sample(600, 13).tobytes(), lift.sample(600, 13).tobytes(),
+             chaining_stats(600, 13))
+    monkeypatch.setattr(processes, "_BLOCK_ENTRIES", 300)
+    assert lift._block(600) == lift.inner._block(600) == 7
+    assert processes._block_paths(600, 12) == 25
+    assert (lift.inner.sample(600, 13).tobytes(), lift.sample(600, 13).tobytes(),
+            chaining_stats(600, 13)) == whole
+
+
 def test_first_paths_do_not_depend_on_the_path_count():
     lift = om.OrthogonalLift(om.AdversarialSampler(sparse_measure(), 4))
     n = processes._PATH_BLOCK + 905  # the 2n run splits the n paths differently
@@ -774,6 +788,24 @@ def test_bridge_suite_memory_grows_only_with_its_increments():
     short, long = (traced_peak(lambda: checks.suite_bridge(m, paths, 11))
                    for paths in (4096, 8192))
     assert long - short < 4096 * len(index) * 8 / 4
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_monte_carlo_memory_is_bounded_in_the_point_count(count):
+    # a block holds at most _BLOCK_ENTRIES entries of its widest row (8 MiB),
+    # so each stage holds a few block arrays whatever P, plus its per-path
+    # statistics; 4096-path blocks of 2049 points took 255 MB for the lower
+    # bound and 128 MB for the cosine partial sums
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, count))
+    m = om.make_measure(index, "uniform")
+    paths = 4096
+    block, stats = 8 * processes._BLOCK_ENTRIES, 8 * paths
+    assert traced_peak(lambda: om.lower_bound_report(m, 3, paths, 11)) < 3 * block + 4 * stats
+    # 20 squared increments a path, one sampler's at a time
+    assert traced_peak(lambda: checks.suite_bridge(m, paths, 11)) < 3 * block + 20 * stats
+    for kind in ("gaussian", "rademacher", "trigonometric"):
+        assert traced_peak(lambda: _partial_sum_extremes(
+            index.coeffs.values, om.OrthonormalGenerator(kind), paths, 11)) < 2 * block + 4 * stats
 
 
 def test_bridge_suite_holds_one_samplers_increments_at_a_time():

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
-from orthomm.functionals import _subgradient_row
+from orthomm.functionals import _dyadic_rows, _subgradient_row
 from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands
 
 MIB = 1 << 20
@@ -64,7 +64,7 @@ def ref_subgradient_row(measure: om.DiscreteMeasure, row: int, order: np.ndarray
                         seg: np.ndarray) -> np.ndarray:
     order, seg = order[row], seg[row]
     cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
-    suffix = np.cumsum((-0.5 * seg * cum ** -1.5)[::-1])[::-1]
+    suffix = np.cumsum((-0.5 * seg / (cum * np.sqrt(cum)))[::-1])[::-1]
     g = np.empty_like(suffix)
     g[order] = suffix
     return g
@@ -265,11 +265,18 @@ def test_integrals_are_read_only_and_freed_with_their_measure():
     assert ref() is None
 
 
+def exact_rows(m: om.DiscreteMeasure) -> bytes:
+    """The integrals, the dyadic rows and every 7th subgradient row of ``m``."""
+    rows = [_subgradient_row(m, row) for row in range(0, len(m.index_set), 7)]
+    return b"".join(a.tobytes() for a in (m.integrals, _dyadic_rows(m), *rows))
+
+
 def test_integrals_do_not_depend_on_numpys_cpu_dispatch():
     # numpy picks a SIMD kernel per CPU (AVX-512 ones among them); its power
     # kernels disagree in the last bit, while sqrt, divide and add round
     # correctly in every kernel.  So a process barred from every dispatch
-    # target this CPU enables computes the same bytes.
+    # target this CPU enables computes the same bytes, for the integrals and
+    # for the exact routines beside them.
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     build = ("om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 512)),"
@@ -278,17 +285,19 @@ def test_integrals_do_not_depend_on_numpys_cpu_dispatch():
         "import sys\n"
         "from numpy._core._multiarray_umath import __cpu_features__\n"
         "import orthomm as om\n"
+        "from test_profile_reference import exact_rows\n"
         f"assert not any(__cpu_features__[t] for t in {enabled!r})\n"
-        f"sys.stdout.write({build}.integrals.tobytes().hex())\n"
+        f"sys.stdout.write(exact_rows({build}).hex())\n"
     )
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-        os.path.dirname(os.path.dirname(om.__file__)), env.get("PYTHONPATH")]))
+        os.path.dirname(os.path.dirname(om.__file__)), os.path.dirname(__file__),
+        env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 512))
     m = om.make_measure(index, {"kind": "dirichlet_random", "seed": 5})
-    assert bytes.fromhex(out) == m.integrals.tobytes()
+    assert bytes.fromhex(out) == exact_rows(m)
 
 
 @pytest.mark.parametrize("n", [65, 513])
