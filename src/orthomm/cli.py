@@ -97,6 +97,13 @@ def _parse_measure(arg: str, args, index_set=None):
     return lambda index_set: make_measure(index_set, spec)
 
 
+def _measure_config(args) -> dict:
+    """``--measure``, and the optimizer's options when they build the measure."""
+    if args.measure != "optimize":
+        return {"measure": args.measure}
+    return {"measure": args.measure, "max_iters": args.max_iters, "tol": args.tol}
+
+
 def _build_objects(seq: CoefficientSequence):
     """Index set of ``seq`` and its tail mass, None unless finite."""
     index_set = build_index_set(seq)
@@ -163,7 +170,7 @@ def cmd_evaluate(args):
     """Also returns the per-level rows when ``--format csv`` asks for them."""
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
     rep = evaluate_functionals(_parse_measure(args.measure, args)(index_set))
-    config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure}
+    config = {"coeffs": index_set.coeffs.to_json(), **_measure_config(args)}
     rows = list(rep.per_level) if args.format == "csv" else None
     return 0, config, rep.to_json(), rows
 
@@ -196,7 +203,7 @@ def cmd_simulate(args):
         "passed": chain.passed,
     }
     config = {"coeffs": index_set.coeffs.to_json(), "generator": generator.kind,
-              "measure": args.measure, "paths": args.paths, "seed": seed}
+              **_measure_config(args), "paths": args.paths, "seed": seed}
     return (0 if chain.passed else 1), config, report
 
 
@@ -205,7 +212,7 @@ def cmd_adversarial(args):
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
     measure = _parse_measure(args.measure, args)(index_set)
     rep = lower_bound_report(measure, args.base_depth, args.paths, seed)
-    config = {"coeffs": index_set.coeffs.to_json(), "measure": args.measure,
+    config = {"coeffs": index_set.coeffs.to_json(), **_measure_config(args),
               "depth": args.base_depth, "paths": args.paths, "seed": seed}
     return (0 if rep.passed else 1), config, rep.to_json()
 
@@ -237,7 +244,7 @@ def cmd_verify(args):
     results = [suites[name]() for name in names]
     passed = all(r["passed"] for r in results)
     config = {"suite": args.suite, "coeffs": seq.to_json(),
-              "measure": args.measure, "base_depth": args.base_depth,
+              **_measure_config(args), "base_depth": args.base_depth,
               "generator": OrthonormalGenerator(args.generator).kind,
               "seed": args.seed, "paths": args.paths,
               "random_measures": args.random_measures}
@@ -276,7 +283,8 @@ def cmd_pipeline(args):
     }
     config = {"coeffs": index_set.coeffs.to_json(),
               "generator": generator.kind, "paths": args.paths, "seed": seed,
-              "adversarial_depth": args.adversarial_depth}
+              "adversarial_depth": args.adversarial_depth,
+              "max_iters": args.max_iters, "tol": args.tol}
     return (0 if passed else 1), config, report
 
 

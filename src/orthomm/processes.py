@@ -526,10 +526,12 @@ class AdversarialSampler(ProcessSampler):
         every level, so one ``searchsorted`` per level finds each row's run
         of columns and each cell adds its segment to its parent row's run;
         the paths reaching leaf row r take, in increasing order, the next
-        rows of ``normals(r, count)``, which reads them over ``buf``.
-        Returns the (points, paths) matrix, written over the storage of
-        ``vals`` (``buf`` is scratch), whose column i holds path
-        ``order[i]`` of the block, and ``order``.
+        rows of ``normals(r, count)``, which reads them over ``buf``.  The
+        root level's cells write their segments straight into ``vals``;
+        only base depth 0, which has no levels, zero-fills it.  Returns the
+        (points, paths) matrix, written over the storage of ``vals``
+        (``buf`` is scratch), whose column i holds path ``order[i]`` of the
+        block, and ``order``.
         """
         n = U.shape[0]
         rows, keys = [np.zeros(n, dtype=np.intp)], []
@@ -545,7 +547,8 @@ class AdversarialSampler(ProcessSampler):
                            kind="stable")
         U = U.T.take(order, axis=1)
         vals = vals[:self.points.size * n].reshape(-1, n)
-        vals[:] = 0.0
+        if not self._levels:
+            vals[:] = 0.0
         mult = None  # all ones at the root
         z, pre = np.empty((5, n)), np.zeros((5, n))  # z[4] takes the pin of unpinned rows
         pinat = np.arange(n)
@@ -565,12 +568,14 @@ class AdversarialSampler(ProcessSampler):
                 a, b = bounds[r], bounds[r + 1]
                 if a < b:
                     offs = up * (self.points[start:stop] - left)
-                    seg = np.multiply(offs[:, None], S[j + 1, a:b] - S[j, a:b],
-                                      out=buf[:offs.size * (b - a)].reshape(-1, b - a))
+                    # the root's cells hold every point once, and every path
+                    out = vals[start:stop] if mult is None else \
+                        buf[:offs.size * (b - a)].reshape(-1, b - a)
+                    seg = np.multiply(offs[:, None], S[j + 1, a:b] - S[j, a:b], out=out)
                     seg += down * S[j, a:b]
                     if mult is not None:
                         seg *= mult[a:b]
-                    vals[start:stop, a:b] += seg
+                        vals[start:stop, a:b] += seg
             mult = (1.0 if mult is None else mult) / root.take(key)
         bounds = np.searchsorted(leaf[order], np.arange(max(self._leaves) + 2)).tolist()
         for r, bridge in self._leaves.items():

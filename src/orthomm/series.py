@@ -185,8 +185,8 @@ def _hurwitz_zeta(s: float, a: float) -> float:
 # in cache where whole (P, P) temporaries did not.  The profile is built one
 # block of rows at a time (31 rows at P = 2049, one block holding every row up
 # to P = 256), and a pass over the integrals reads it one block of steps at a
-# time (24 steps at P = 2049, a multiple of 8), with one intp index buffer of
-# the same size.
+# time (24 steps at P = 2049, a multiple of 8), each block written over the
+# last in one float buffer of the block and one row more.
 _BLOCK_ITEMS = 1 << 16
 
 # numpy sums a contiguous row pairwise, in leaves of at most this many entries.
@@ -283,7 +283,10 @@ class IndexSet:
             dist = np.abs(pts[None, :] - pts[rows, None])
             block = np.argsort(dist, axis=1, kind="stable")
             order[rows] = block
-            sq = np.sqrt(np.take_along_axis(dist, block, axis=1))
+            # the sorted distances, from the points by dist's own subtraction
+            sq = np.take(pts, block)
+            sq -= pts[rows, None]
+            np.sqrt(np.abs(sq, out=sq), out=sq)
             # difference row-major, then copy: into a strided out= the build
             # takes about 10 ms more at P = 2049
             seg[rows, :-1] = sq[:, 1:] - sq[:, :-1]
@@ -494,42 +497,42 @@ def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarr
     """The integrand seg[t, k] / sqrt(m_t(k)) of every point t, one block of
     steps k at a time: (steps, P) arrays of a multiple of 8 steps, but the last.
 
-    m_t(k) is the running mass of t's k + 1 nearest points.  Each block's
-    order is widened into one reused intp buffer and gathered, the last
-    running masses of the block before are added to its first step, and
-    the masses are accumulated along the steps: every point's additions
-    are those of a cumsum along its row, in the same order.  Point t's
-    running mass starts at w_t and never decreases, so the clamp at 1e-300
-    changes nothing unless some weight is below it.  The masses are then
-    replaced in place by their sqrt and seg divided by them: both round
-    correctly, so each entry lies within 1.5 ulps of the exact quotient,
-    and every kernel numpy may dispatch computes the same bits (its power
-    kernels differ between AVX-512 and other CPUs).  A block yielded is
-    not touched again.
+    m_t(k) is the running mass of t's k + 1 nearest points.  The pass owns
+    one (block + 1, P) buffer.  Each block's weights are gathered into its
+    rows 1.. and the masses accumulated down the rows, starting from row 0
+    after the first block; the block's last row is then copied into row 0.
+    So every point's additions are those of a cumsum along its row, in the
+    same order.  Point t's running mass starts at w_t and never decreases,
+    so the clamp at 1e-300 changes nothing unless some weight is below it.
+    The masses are then replaced in place by their sqrt and seg divided by
+    them: both round correctly, so each entry lies within 1.5 ulps of the
+    exact quotient, and every kernel numpy may dispatch computes the same
+    bits (its power kernels differ between AVX-512 and other CPUs).  Each
+    block is written over the one before, so a caller that keeps a block
+    past the next one copies it.
     """
     n = w.size
     order, seg = prof.order.T, prof.seg.T
     clamp = w.min() < 1e-300
     step = max(8, _BLOCK_ITEMS // n // 8 * 8)
-    idx = np.empty((min(step, n), n), dtype=np.intp)
-    carry = np.empty(n)
+    buf = np.empty((min(step, n) + 1, n))
+    rows = list(buf) if n >= _STEPWISE_FROM else None
     for k0 in range(0, n, step):
-        ix = idx[:min(step, n - k0)]
-        np.copyto(ix, order[k0:k0 + step])
-        cum = w[ix]
-        if k0:
-            cum[0] += carry
+        m = min(step, n - k0)
+        # "clip" writes straight into out=; "raise" would stage it in a copy
+        w.take(order[k0:k0 + m], out=buf[1:m + 1], mode="clip")
+        lo = 0 if k0 else 1  # row 0 holds no masses before the first block
         if n >= _STEPWISE_FROM:
-            rows = list(cum)
-            for prev, row in zip(rows, rows[1:]):
+            for prev, row in zip(rows[lo:m], rows[lo + 1:m + 1]):
                 np.add(prev, row, out=row)
         else:
-            np.cumsum(cum, axis=0, out=cum)
-        np.copyto(carry, cum[-1])
+            np.cumsum(buf[lo:m + 1], axis=0, out=buf[lo:m + 1])
+        np.copyto(buf[0], buf[m])
+        cum = buf[1:m + 1]
         if clamp:
             np.maximum(cum, 1e-300, out=cum)
         np.sqrt(cum, out=cum)
-        np.divide(seg[k0:k0 + step], cum, out=cum)
+        np.divide(seg[k0:k0 + m], cum, out=cum)
         yield cum
 
 

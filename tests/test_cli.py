@@ -310,6 +310,35 @@ def test_verify_config_identifies_the_run(capsys):
     assert doc["config"]["coeffs"] == om.CoefficientSequence.explicit([0.5, 0.5]).to_json()
 
 
+@pytest.mark.parametrize("argv", [
+    ("evaluate",),
+    ("simulate", "--seed", "1", "--paths", "200"),
+    ("adversarial", "--seed", "1", "--paths", "200"),
+    ("verify", "--suite", "lowerbound", "--seed", "1", "--paths", "200"),
+])
+def test_config_records_the_options_of_an_optimized_measure(argv, capsys):
+    # --max-iters and --tol move an optimized measure, so they must move the
+    # config too; a measure that is not optimized reads neither
+    docs = [run_json(*argv, "--measure", "optimize", "--max-iters", iters, "--tol", tol,
+                     "--no-timestamp", capsys=capsys)
+            for iters, tol in (("3", "1e-8"), ("2000", "1e-3"))]
+    assert docs[0]["report"] != docs[1]["report"]
+    assert [(d["config"]["max_iters"], d["config"]["tol"]) for d in docs] == \
+        [(3, 1e-8), (2000, 1e-3)]
+    config = run_json(*argv, "--max-iters", "3", "--no-timestamp", capsys=capsys)["config"]
+    assert config["measure"] == "uniform"
+    assert "max_iters" not in config and "tol" not in config
+
+
+def test_pipeline_config_records_the_optimizer_options(capsys):
+    docs = [run_json("pipeline", "--seed", "11", "--paths", "200", *extra,
+                     "--no-timestamp", capsys=capsys)
+            for extra in ((), ("--tol", "1e-3"))]
+    assert docs[0]["report"]["optimize"] != docs[1]["report"]["optimize"]
+    assert [(d["config"]["max_iters"], d["config"]["tol"]) for d in docs] == \
+        [(2000, 1e-8), (2000, 1e-3)]
+
+
 def test_verify_skeleton_builds_nothing_and_notes_nothing(capsys):
     # skeleton reads no coefficients, so their notes do not apply to it
     doc = run_json("verify", "--suite", "skeleton", "--coeffs",

@@ -403,6 +403,23 @@ def test_adversarial_increment_second_moments(depth):
         assert mc_close(sq, sampler.second_moment(pts[i], pts[j]))
 
 
+@pytest.mark.parametrize("depth", [0, 1, 3])
+@pytest.mark.parametrize("lift", [False, True])
+def test_adversarial_sampler_reads_only_what_it_wrote(depth, lift, nan_empty):
+    # the root level writes every point of a block without a zero fill;
+    # with every np.empty of the sampler NaN-filled, a point it missed
+    # would turn NaN.  Zero weights leave cells that no path reaches.
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))
+    w = np.random.default_rng(3).dirichlet(np.full(len(index), 0.5))
+    w[::7] = 0.0
+    sampler = om.AdversarialSampler(om.DiscreteMeasure.explicit(index, w), depth)
+    if lift:
+        sampler = om.OrthogonalLift(sampler)
+    expected = sampler.sample(300, 4).tobytes()
+    nan_empty(processes)
+    assert sampler.sample(300, 4).tobytes() == expected
+
+
 def test_adversarial_build_reads_the_array_law_only(monkeypatch):
     # each level's law comes from one _skeleton_law call over its reached rows
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 40))

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomm as om
+from orthomm import series
 from orthomm.functionals import _dyadic_rows, _subgradient_row
 from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands
 
@@ -123,12 +124,24 @@ def test_blocks_match_dense_reference(n):
     assert [len(range(n)[rows]) for rows in _row_blocks(n)] == BLOCK_SPLITS.get(n, [n])
     index = power_set(n)
     uniform = om.DiscreteMeasure.uniform(index)
-    steps = [len(block) for block in _step_integrands(index.profile, uniform.weights)]
-    assert steps == STEP_SPLITS.get(n, [n])
+    blocks = list(_step_integrands(index.profile, uniform.weights))
+    assert [len(block) for block in blocks] == STEP_SPLITS.get(n, [n])
+    # each block is written over the one before
+    assert all(np.shares_memory(a, b) for a, b in zip(blocks, blocks[1:]))
     assert_matches_reference(index, seed=n)
     if n > 2:
         sparse = measures(index, seed=n)[2]
         assert np.any(sparse.weights == 0.0)
+
+
+@pytest.mark.parametrize("n", [513, 2049])
+def test_pass_reads_only_what_it_wrote(n, nan_empty):
+    # with every np.empty of the pass NaN-filled, an entry read before it
+    # is written turns some integral NaN
+    index = power_set(n)
+    expected = [m.integrals.tobytes() for m in measures(index, seed=n)]
+    nan_empty(series)
+    assert [m.integrals.tobytes() for m in measures(index, seed=n)] == expected
 
 
 def test_pass_sums_rows_in_numpys_pairwise_order():
