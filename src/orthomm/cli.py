@@ -13,7 +13,6 @@ verify live in ``orthomm.checks``.  Subcommands return their report;
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -128,6 +127,8 @@ def _require_seed(args) -> int:
 def _emit(args, config: dict, report: dict,
           csv_rows: list | None = None) -> None:
     if csv_rows is not None:
+        import csv  # only --format csv reads it; most runs start faster without
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["k", "full_sum", "filtered_sum", "good_count"])

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,8 +178,7 @@ def dyadic_sup_bound(measure: DiscreteMeasure) -> float:
     return float(_dyadic_rows(measure).max())
 
 
-@dataclass(frozen=True)
-class RMBound:
+class RMBound(NamedTuple):
     """Classical log-squared coefficient bound sum a_n^2 ln^2(n+1)."""
 
     value: float
@@ -202,16 +200,14 @@ def rademacher_menchov(coeffs: CoefficientSequence) -> RMBound:
 # good-index filter
 
 
-@dataclass(frozen=True)
-class GoodLevel:
+class GoodLevel(NamedTuple):
     level: int
     good: tuple[int, ...]       # absolute child indices at this level
     full_sum: float             # sum of sqrt(mass) over all nonempty cells
     filtered_sum: float         # sum of sqrt(mass) over good indices
 
 
-@dataclass(frozen=True)
-class GoodIndexTable:
+class GoodIndexTable(NamedTuple):
     levels: tuple[GoodLevel, ...]
 
     def filtered_series(self) -> float:
@@ -294,8 +290,7 @@ def filtered_bound(measure: DiscreteMeasure) -> float:
 # combined report
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     strong_value: float
     strong_argmax: float
     weak_value: float

@@ -15,12 +15,12 @@ return the best one, whose ``integrals`` later functionals reuse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .functionals import _subgradient_row, strong_functional, weak_functional
-from .series import DiscreteMeasure, IndexSet
+from .series import DiscreteMeasure, IndexSet, _Frozen
 
 __all__ = [
     "OptimizerOptions",
@@ -36,24 +36,37 @@ _PATIENCE = 50     # iterations without relative improvement before stopping
 _FLOOR = 1e-300    # keeps multiplicative iterates strictly positive
 
 
-@dataclass(frozen=True)
-class OptimizerOptions:
-    max_iters: int = 2000
-    tol: float = 1e-8          # relative objective improvement threshold
-    restarts: int = 8          # maximize_weak only; uniform start included
-    seed: int | None = None
+class OptimizerOptions(_Frozen):
+    """Options of both optimizers, equal when their fields are."""
 
-    def __post_init__(self):
-        if self.max_iters < 1:
+    max_iters: int
+    tol: float          # relative objective improvement threshold
+    restarts: int       # maximize_weak only; uniform start included
+    seed: int | None
+
+    def __init__(self, max_iters: int = 2000, tol: float = 1e-8, restarts: int = 8,
+                 seed: int | None = None):
+        if max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.tol < 1.0:
+        if not 0.0 < tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.restarts < 1:
+        if restarts < 1:
             raise ValueError("restarts must be at least 1")
+        self._set(max_iters=max_iters, tol=tol, restarts=restarts, seed=seed)
+
+    def _key(self) -> tuple:
+        return self.max_iters, self.tol, self.restarts, self.seed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+class OptimizationResult(NamedTuple):
     measure: DiscreteMeasure
     value: float
     iterations: int
@@ -176,8 +189,7 @@ def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) 
                               converged=converged, trace=tuple(trace))
 
 
-@dataclass(frozen=True)
-class DualityGapReport:
+class DualityGapReport(NamedTuple):
     """Two-sided localization of the optimal functional values.
 
     ``upper`` estimates inf over measures of the strong functional,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .series import (
     DomainError,
     PartitionTree,
     _cell_index,
+    _Frozen,
 )
 
 __all__ = [
@@ -161,8 +162,7 @@ def _left_endpoint(cell_index: int, level: int) -> float:
     return int(cell_index) / 4 ** level
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     """Sample mean with its standard error."""
 
     mean: float
@@ -199,8 +199,7 @@ def s_skeleton(z: np.ndarray) -> np.ndarray:
     return pre - _FRAC * pre[..., 4:5]
 
 
-@dataclass(frozen=True, eq=False)
-class SkeletonVariables:
+class SkeletonVariables(_Frozen):
     """Joint law of the child selector and the four sign increments.
 
     When a good child exists in one parity pair, the increment at slot
@@ -219,13 +218,14 @@ class SkeletonVariables:
     pair: tuple[int, ...]
     v: float
 
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
+    def __init__(self, probs: np.ndarray, n: int | None, x: float, y: float,
+                 pair: tuple[int, ...], v: float):
+        p = np.asarray(probs, dtype=float)
         if p.shape != (4,):
             raise ValueError("selector law must have four atoms")
         if np.any(p < 0) or not math.isclose(float(p.sum()), 1.0, rel_tol=0, abs_tol=1e-9):
             raise ValueError("selector law must be a probability vector")
-        object.__setattr__(self, "probs", p)
+        self._set(probs=p, n=n, x=x, y=y, pair=pair, v=v)
 
     def increments(self, tau: np.ndarray, free: np.ndarray) -> np.ndarray:
         """Combine free signs with the pinned slot for given selectors."""
@@ -328,8 +328,7 @@ def build_skeleton_variables(child_masses, good_set) -> SkeletonVariables:
                              y=float(pinned[0, pair[1]]), pair=pair, v=float(v[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class BridgeLeaf:
+class BridgeLeaf(_Frozen):
     """Brownian bridge inside one base-depth cell.
 
     Points sitting on the cell's left endpoint are pinned to zero; the
@@ -349,6 +348,11 @@ class BridgeLeaf:
     pinned: np.ndarray
     a: np.ndarray
     sigma: np.ndarray
+
+    def __init__(self, level: int, cell_index: int, positions: np.ndarray,
+                 local: np.ndarray, pinned: np.ndarray, a: np.ndarray, sigma: np.ndarray):
+        self._set(level=level, cell_index=cell_index, positions=positions, local=local,
+                  pinned=pinned, a=a, sigma=sigma)
 
     @property
     def dim(self) -> int:
@@ -452,11 +456,13 @@ class AdversarialSampler(ProcessSampler):
     mass), the skeleton laws of the rows paths reach as (4, rows)
     selector CDFs, (rows, 4) root probabilities, pinned slots (4 for
     none) and (rows, 4) pinned values, and the (parent row, slot, start,
-    stop, left) of every level-(k+1) cell; ``_leaves`` maps the reached
-    base-depth rows to bridges.  ``base_depth`` is taken as given, also
-    past the separation depth; ``build_adversarial_process`` clips it
-    there.  A path reads five uniform slots per level and the normal
-    slots of the one bridge it reaches.
+    stop, offsets) of every level-(k+1) cell, the offsets being the
+    (stop - start, 1) column of 2**(k+1) (t - left) over its points t;
+    ``_leaves`` maps the reached base-depth rows to bridges.
+    ``base_depth`` is taken as given, also past the separation depth;
+    ``build_adversarial_process`` clips it there.  A path reads five
+    uniform slots per level and the normal slots of the one bridge it
+    reaches.
     """
 
     def __init__(self, measure: DiscreteMeasure, base_depth: int):
@@ -488,9 +494,11 @@ class AdversarialSampler(ProcessSampler):
             root[reached] = np.sqrt(probs)
             child = np.full((rows, 4), -1, dtype=np.intp)
             child[lv.parent, lv.slot] = np.where(lv.masses > 0.0, np.arange(lv.starts.size), -1)
-            cells = [(p, j, a, b, _left_endpoint(i, k)) for p, j, a, b, i in zip(
-                lv.parent.tolist(), lv.slot.tolist(), lv.starts.tolist(),
-                [*lv.starts[1:].tolist(), size], lv.keys.tolist())]
+            cells = [(p, j, a, b, 2.0 ** k * (self.points[a:b, None] - _left_endpoint(i, k)))
+                     for p, j, a, b, i in zip(lv.parent.tolist(), lv.slot.tolist(),
+                                              lv.starts.tolist(),
+                                              [*lv.starts[1:].tolist(), size],
+                                              lv.keys.tolist())]
             self._levels.append((child, cdf, root, pin, pinned, cells))
             reached = np.flatnonzero(lv.masses > 0.0)
         starts, keys = tree.cell_arrays(self.base_depth)
@@ -553,7 +561,7 @@ class AdversarialSampler(ProcessSampler):
         z, pre = np.empty((5, n)), np.zeros((5, n))  # z[4] takes the pin of unpinned rows
         pinat = np.arange(n)
         for level, (_, _, root, pin, pinned, cells) in enumerate(self._levels):
-            down, up = 2.0 ** -(level + 1), 2.0 ** (level + 1)
+            down = 2.0 ** -(level + 1)
             row, key = rows[level][order], keys[level][order]
             signs = np.greater_equal(U[5 * level + 1:5 * level + 5], 0.5, out=z[:4])
             signs *= -2.0
@@ -563,16 +571,17 @@ class AdversarialSampler(ProcessSampler):
             for j in range(1, 4):  # np.cumsum along the slots; row adds are faster
                 np.add(pre[j], z[j], out=pre[j + 1])
             S = pre - _FRAC[:, None] * pre[4]  # s_skeleton, one row per slot
+            slope = np.subtract(S[1:], S[:-1], out=z[:4])  # z is free once pre is summed
+            S *= down
             bounds = np.searchsorted(row, np.arange(pin.size + 1)).tolist()
-            for r, j, start, stop, left in cells:
+            for r, j, start, stop, offs in cells:
                 a, b = bounds[r], bounds[r + 1]
                 if a < b:
-                    offs = up * (self.points[start:stop] - left)
                     # the root's cells hold every point once, and every path
                     out = vals[start:stop] if mult is None else \
                         buf[:offs.size * (b - a)].reshape(-1, b - a)
-                    seg = np.multiply(offs[:, None], S[j + 1, a:b] - S[j, a:b], out=out)
-                    seg += down * S[j, a:b]
+                    seg = np.multiply(offs, slope[j, a:b], out=out)
+                    seg += S[j, a:b]
                     if mult is not None:
                         seg *= mult[a:b]
                         vals[start:stop, a:b] += seg
@@ -704,22 +713,30 @@ def second_moment_oracle(
 _GENERATOR_KINDS = ("gaussian", "rademacher", "trigonometric")
 
 
-@dataclass(frozen=True)
-class OrthonormalGenerator:
+class OrthonormalGenerator(_Frozen):
     """Orthonormal system driving the series: E phi_n phi_m = delta_nm.
 
     Kinds: iid standard Gaussians, iid symmetric signs, or the cosine
-    system sqrt(2) * cos(2 pi n w) evaluated at one uniform w.
+    system sqrt(2) * cos(2 pi n w) evaluated at one uniform w.  Two
+    generators are equal when their kinds are.
     """
 
-    kind: str = "gaussian"
+    kind: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str = "gaussian"):
         aliases = {"trig": "trigonometric", "iid_gaussian": "gaussian"}
-        kind = aliases.get(self.kind, self.kind)
-        if kind not in _GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "kind", kind)
+        name = aliases.get(kind, kind)
+        if name not in _GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        self._set(kind=name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash(self.kind)
 
     def uniform_slots(self, n_terms: int) -> int:
         if self.kind == "rademacher":
@@ -809,8 +826,7 @@ def simulate_sup_square(
     return _sup_square(*_partial_sum_extremes(coeffs.values, generator, paths, seed), seed)
 
 
-@dataclass(frozen=True)
-class ChainingReport:
+class ChainingReport(NamedTuple):
     """Simulated supremum against the strong-functional upper bound.
 
     ``sup_square``, left out of the JSON, is ``simulate_sup_square`` of the same paths.
@@ -866,8 +882,7 @@ def verify_chaining_bound(
                           skipped=not math.isfinite(strong_value), sup_square=sup)
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+class LowerBoundReport(NamedTuple):
     """Filtered level sums against the simulated supremum of the lift."""
 
     filtered_sum: float

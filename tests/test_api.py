@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import orthomm as om
@@ -61,3 +62,37 @@ def test_no_public_function_takes_coefficients_beside_a_measure(name):
     coeffs = any(_takes(p, {"coeffs", "seq"}, "CoefficientSequence") for p in params)
     measure = any(_takes(p, {"measure"}, "DiscreteMeasure") for p in params)
     assert not (coeffs and measure)
+
+
+def _fields_of_frozen_instances():
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    measure = om.DiscreteMeasure.uniform(index)
+    index.partition  # a cached property stays read-only once computed
+    return [(index, "scale"), (index, "partition"), (measure, "weights"),
+            (index.coeffs, "values"), (om.OptimizerOptions(), "tol"),
+            (om.AdversarialSampler(measure, 1).bridges[0], "sigma"),
+            (om.MCEstimate.from_samples(np.arange(3.0), seed=0), "mean")]
+
+
+def test_instances_refuse_attribute_writes():
+    for obj, name in _fields_of_frozen_instances():
+        before = getattr(obj, name)
+        for attr in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before, type(obj).__name__
+
+
+def test_options_and_generators_compare_by_value_measures_by_identity():
+    assert om.OptimizerOptions() == om.OptimizerOptions()
+    assert hash(om.OptimizerOptions()) == hash(om.OptimizerOptions())
+    assert om.OptimizerOptions() != om.OptimizerOptions(tol=1e-6)
+    trig = om.OrthonormalGenerator("trig")
+    assert trig == om.OrthonormalGenerator("trigonometric")
+    assert hash(trig) == hash(om.OrthonormalGenerator("trigonometric"))
+    assert trig != om.OrthonormalGenerator()
+    index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
+    measure = om.DiscreteMeasure.uniform(index)
+    assert measure == measure and measure != om.DiscreteMeasure.uniform(index)

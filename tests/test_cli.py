@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib
 import io
 import json
@@ -456,7 +455,7 @@ def test_bridge_suite_reports_a_perturbed_recursion(monkeypatch):
         if b.dim > 1 and not perturbed:
             sigma = b.sigma.copy()
             sigma[b.dim // 2] *= 1.001
-            b = dataclasses.replace(b, sigma=sigma)
+            b = processes.BridgeLeaf(**{**vars(b), "sigma": sigma})
             perturbed.append(b)
         return b
 

@@ -63,3 +63,20 @@ def test_runs_load_no_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["[0,", "0]", "False"]
+
+
+def test_runs_load_no_dataclasses_or_csv(tmp_path):
+    # both cost start-up time: a generated class about half a millisecond,
+    # and csv is read only by evaluate --format csv
+    script = (
+        "import sys\n"
+        "from orthomm import cli\n"
+        f"rc = cli.main(['evaluate', '--out', {str(tmp_path / 'report.json')!r}])\n"
+        "print(rc, sorted({'dataclasses', 'csv'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "[]"]

@@ -363,9 +363,13 @@ def test_sampler_nodes_match_per_parent_reference(seed):
         assert pin[row] == (4 if expected.n is None else expected.n)
         values = dict(zip(expected.pair, (expected.x, expected.y)))
         assert pinned[row].tolist() == [values.get(j, 0.0) for j in range(4)]
-        assert [c for c in cells if c[0] == row] == \
-            [(row, j, lo, hi, _left_endpoint(i, level + 1))
-             for j, (i, lo, hi) in enumerate(children) if hi > lo]
+        got = [c for c in cells if c[0] == row]
+        want = [(row, j, lo, hi, _left_endpoint(i, level + 1))
+                for j, (i, lo, hi) in enumerate(children) if hi > lo]
+        assert [c[:4] for c in got] == [c[:4] for c in want]
+        for (*_, lo, hi, offs), (*_, left) in zip(got, want):
+            assert offs.shape == (hi - lo, 1)
+            assert offs[:, 0].tolist() == (2.0 ** (level + 1) * (points[lo:hi] - left)).tolist()
         live = [(j, c) for j, c in enumerate(children) if masses[j] > 0.0]
         assert [j for j in range(4) if child[row, j] >= 0] == [j for j, _ in live]
         for j, c in live:
