@@ -24,12 +24,7 @@ from datetime import datetime, timezone
 
 from . import __version__, checks
 from .functionals import evaluate_functionals
-from .optimize import (
-    OptimizerOptions,
-    duality_gap_report,
-    maximize_weak,
-    minimize_strong,
-)
+from .optimize import duality_gap_report, maximize_weak, minimize_strong
 from .processes import (
     OrthonormalGenerator,
     lower_bound_report,
@@ -78,10 +73,6 @@ def _parse_coeffs(arg: str) -> CoefficientSequence:
     return CoefficientSequence.from_json(obj)
 
 
-def _optimizer_options(args, **extra) -> OptimizerOptions:
-    return OptimizerOptions(max_iters=args.max_iters, tol=args.tol, **extra)
-
-
 def _parse_measure(arg: str, args, index_set=None):
     """Load and check ``arg`` now; return the builder of its measure on an index set.
 
@@ -89,7 +80,8 @@ def _parse_measure(arg: str, args, index_set=None):
     given, which needs no distance profile.
     """
     if arg == "optimize":
-        return lambda index_set: minimize_strong(index_set, _optimizer_options(args)).measure
+        return lambda index_set: minimize_strong(index_set, max_iters=args.max_iters,
+                                                 tol=args.tol).measure
     spec = check_measure_spec(arg if arg == "uniform" else _load_json_arg(arg, "measure"))
     if index_set is not None and spec["kind"] == "explicit":
         make_measure(index_set(), spec)
@@ -178,17 +170,16 @@ def cmd_evaluate(args):
 
 def cmd_optimize(args):
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
-    opts = _optimizer_options(args, restarts=args.restarts, seed=args.seed)
     if args.objective == "strong":
-        report = minimize_strong(index_set, opts).to_json()
-    elif args.objective == "weak":
-        report = maximize_weak(index_set, opts).to_json()
+        result = minimize_strong(index_set, max_iters=args.max_iters, tol=args.tol)
     else:
-        report = duality_gap_report(index_set, opts).to_json()
+        optimizer = maximize_weak if args.objective == "weak" else duality_gap_report
+        result = optimizer(index_set, max_iters=args.max_iters, tol=args.tol,
+                           restarts=args.restarts, seed=args.seed)
     config = {"coeffs": index_set.coeffs.to_json(), "objective": args.objective,
-              "max_iters": opts.max_iters, "tol": opts.tol,
-              "restarts": opts.restarts, "seed": opts.seed}
-    return 0, config, report
+              "max_iters": args.max_iters, "tol": args.tol,
+              "restarts": args.restarts, "seed": args.seed}
+    return 0, config, result.to_json()
 
 
 def cmd_simulate(args):
@@ -258,7 +249,7 @@ def cmd_pipeline(args):
     try:
         index_set, tail = _build_objects(_parse_coeffs(args.coeffs))
         stage = "optimize"
-        opt = minimize_strong(index_set, _optimizer_options(args))
+        opt = minimize_strong(index_set, max_iters=args.max_iters, tol=args.tol)
         stage = "evaluate"
         fr = evaluate_functionals(opt.measure)
         stage = "chaining"
@@ -361,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", parents=[common, optim_opt],
                        help="optimize a functional over the simplex")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=8,
+    p.add_argument("--restarts", type=_at_least(1, "restarts"), default=8,
                    help="maximize_weak starts, the uniform one included")
     p.add_argument("--objective", choices=("strong", "weak", "gap"),
                    default="strong")

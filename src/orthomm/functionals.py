@@ -32,7 +32,6 @@ __all__ = [
     "COMBINED_BOUND_FORMULA",
     "GoodLevel",
     "GoodIndexTable",
-    "RMBound",
     "FunctionalReport",
     "strong_functional_at",
     "strong_functional",
@@ -178,22 +177,11 @@ def dyadic_sup_bound(measure: DiscreteMeasure) -> float:
     return float(_dyadic_rows(measure).max())
 
 
-class RMBound(NamedTuple):
+def rademacher_menchov(coeffs: CoefficientSequence) -> float:
     """Classical log-squared coefficient bound sum a_n^2 ln^2(n+1)."""
-
-    value: float
-    terms: tuple[tuple[int, float, float], ...]  # (n, a_n^2, term)
-
-
-def rademacher_menchov(coeffs: CoefficientSequence) -> RMBound:
     sq = np.asarray(coeffs.values, dtype=float) ** 2
     n = np.arange(1, sq.size + 1)
-    logs = np.log(n + 1.0) ** 2
-    terms = sq * logs
-    return RMBound(
-        value=float(terms.sum()),
-        terms=tuple((int(i), float(s), float(t)) for i, s, t in zip(n, sq, terms)),
-    )
+    return float((sq * np.log(n + 1.0) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +329,7 @@ def evaluate_functionals(measure: DiscreteMeasure) -> FunctionalReport:
         weak_value=weak,
         dyadic_value=dyadic_bound(measure),
         filtered_value=_filtered_value(table),
-        rm_value=None if coeffs is None else rademacher_menchov(coeffs).value,
+        rm_value=None if coeffs is None else rademacher_menchov(coeffs),
         filter_weight=FILTER_WEIGHT,
         chaining_constant=CHAINING_CONSTANT,
         constant_formula=COMBINED_BOUND_FORMULA,

@@ -10,6 +10,9 @@ minimum.  The weak functional has no such structure and its maximizer is
 a restart heuristic that likewise reports the best iterate seen with no
 optimality certificate.  Every iterate is a ``DiscreteMeasure``; both
 return the best one, whose ``integrals`` later functionals reuse.
+Each optimizer takes, as keywords, only the options it reads: both take
+``max_iters`` and ``tol``, and ``maximize_weak`` also ``restarts`` and
+``seed``, which ``duality_gap_report`` passes on to it.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import _subgradient_row, strong_functional, weak_functional
-from .series import DiscreteMeasure, IndexSet, _Frozen
+from .series import DiscreteMeasure, IndexSet
 
 __all__ = [
-    "OptimizerOptions",
     "OptimizationResult",
     "DualityGapReport",
     "minimize_strong",
@@ -36,34 +38,13 @@ _PATIENCE = 50     # iterations without relative improvement before stopping
 _FLOOR = 1e-300    # keeps multiplicative iterates strictly positive
 
 
-class OptimizerOptions(_Frozen):
-    """Options of both optimizers, equal when their fields are."""
-
-    max_iters: int
-    tol: float          # relative objective improvement threshold
-    restarts: int       # maximize_weak only; uniform start included
-    seed: int | None
-
-    def __init__(self, max_iters: int = 2000, tol: float = 1e-8, restarts: int = 8,
-                 seed: int | None = None):
-        if max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if not 0.0 < tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
-        if restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        self._set(max_iters=max_iters, tol=tol, restarts=restarts, seed=seed)
-
-    def _key(self) -> tuple:
-        return self.max_iters, self.tol, self.restarts, self.seed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+def _check_options(max_iters: int, tol: float, restarts: int = 1) -> None:
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
 
 
 class OptimizationResult(NamedTuple):
@@ -92,7 +73,8 @@ def strong_subgradient(measure: DiscreteMeasure) -> np.ndarray:
     return _subgradient_row(measure, row)
 
 
-def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None) -> OptimizationResult:
+def minimize_strong(index_set: IndexSet, *, max_iters: int = 2000,
+                    tol: float = 1e-8) -> OptimizationResult:
     """Multiplicative equalization of the per-point integrals.
 
     Any zero weight sends its own integral to infinity, so the minimax
@@ -107,7 +89,7 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
     minimum.  The best iterate is kept, so the result never exceeds the
     uniform starting value.
     """
-    opts = options or OptimizerOptions()
+    _check_options(max_iters, tol)
     m = DiscreteMeasure.uniform(index_set)
     if len(index_set) == 1:
         return OptimizationResult(measure=m, value=0.0, iterations=0,
@@ -117,17 +99,17 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
     trace = []
     last_gain = 0
     converged = False
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, max_iters + 1):
         vals = m.integrals
         val = float(vals.max())
-        if val < best_val - opts.tol * max(1.0, abs(best_val)):
+        if val < best_val - tol * max(1.0, abs(best_val)):
             last_gain = it
         if val < best_val:
             best_val = val
             best = m
         trace.append(best_val)
         spread = float((vals.max() - vals.min()) / vals.max())
-        if spread <= opts.tol:
+        if spread <= tol:
             converged = True
             break
         if it - last_gain >= _PATIENCE:
@@ -139,24 +121,26 @@ def minimize_strong(index_set: IndexSet, options: OptimizerOptions | None = None
                               converged=converged, trace=tuple(trace))
 
 
-def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) -> OptimizationResult:
+def maximize_weak(index_set: IndexSet, *, max_iters: int = 2000, tol: float = 1e-8,
+                  restarts: int = 8, seed: int | None = None) -> OptimizationResult:
     """Best-effort maximizer of the weak functional over the simplex.
 
     Multiplicative reweighting toward points with a large integrand,
     restarted from the uniform measure plus Dirichlet draws; the best
-    weak value over all iterates and restarts is returned.
+    weak value over all iterates and restarts is returned; ``restarts``
+    counts the uniform start, and more than one needs a ``seed``.
     """
-    opts = options or OptimizerOptions()
+    _check_options(max_iters, tol, restarts)
     n = len(index_set)
     if n == 1:
         m = DiscreteMeasure(index_set, np.ones(1))
         return OptimizationResult(measure=m, value=0.0, iterations=0,
                                   converged=True, trace=())
-    if opts.restarts > 1 and opts.seed is None:
+    if restarts > 1 and seed is None:
         raise ValueError("seed required when maximize_weak uses random restarts")
     starts = [np.full(n, 1.0 / n)]
-    if opts.restarts > 1:
-        children = np.random.SeedSequence(opts.seed).spawn(opts.restarts - 1)
+    if restarts > 1:
+        children = np.random.SeedSequence(seed).spawn(restarts - 1)
         for child in children:
             rng = np.random.default_rng(child)
             starts.append(rng.dirichlet(np.ones(n)))
@@ -169,11 +153,11 @@ def maximize_weak(index_set: IndexSet, options: OptimizerOptions | None = None) 
         w = np.maximum(w0, _FLOOR)
         m = DiscreteMeasure(index_set, w / w.sum())
         last_gain = 0
-        for it in range(1, opts.max_iters + 1):
+        for it in range(1, max_iters + 1):
             total_iters += 1
             vals = m.integrals
             val = float(np.dot(m.weights, vals))
-            if val > best_val + opts.tol * max(1.0, abs(best_val)):
+            if val > best_val + tol * max(1.0, abs(best_val)):
                 last_gain = it
             if val > best_val:
                 best_val = val
@@ -210,9 +194,12 @@ class DualityGapReport(NamedTuple):
         }
 
 
-def duality_gap_report(index_set: IndexSet, options: OptimizerOptions | None = None) -> DualityGapReport:
-    upper = minimize_strong(index_set, options)
-    lower = maximize_weak(index_set, options)
+def duality_gap_report(index_set: IndexSet, *, max_iters: int = 2000, tol: float = 1e-8,
+                       restarts: int = 8, seed: int | None = None) -> DualityGapReport:
+    _check_options(max_iters, tol, restarts)  # before the strong side runs
+    upper = minimize_strong(index_set, max_iters=max_iters, tol=tol)
+    lower = maximize_weak(index_set, max_iters=max_iters, tol=tol,
+                          restarts=restarts, seed=seed)
     for result in (upper, lower):
         weak = weak_functional(result.measure)
         strong, _ = strong_functional(result.measure)

@@ -12,11 +12,13 @@ linear Gaussian term turns the bridge-type increments |s-t|(1 - |s-t|)
 into orthogonal increments |s-t| exactly.
 
 Every variate comes from an SFC64 stream keyed by (seed, kind, *key):
-uniform slot j is (seed, 0, j), normal slot j is (seed, 1, j), and normal
+uniform slot j is (seed, 0, j), normal slot j is (seed, 1, j), normal
 slot j of the bridge at the leaf with exact cell key kappa is (seed, 2,
-kappa, j).  Path i reads element i of each uniform and normal slot, and
-element r_i of its leaf's bridge slots, where r_i counts the paths before
-i that reach the same leaf.  So a path's values do not depend on the path
+kappa, j), and the orthogonal lift's linear term is (seed, 3, 0), apart
+from the Gaussian generator's normal slots.  Path i reads element i of
+each uniform and normal slot and of the linear term, and element r_i of
+its leaf's bridge slots, where r_i counts the paths before i that reach
+the same leaf.  So a path's values do not depend on the path
 count, and adding slots leaves the existing ones unchanged.  Every Monte
 Carlo reduction runs on consecutive blocks of at most ``_PATH_BLOCK``
 paths and ``_BLOCK_ENTRIES`` entries of the widest per-path row, in
@@ -47,7 +49,6 @@ from .functionals import (
     strong_functional,
 )
 from .series import (
-    CoefficientSequence,
     DiscreteMeasure,
     DomainError,
     PartitionTree,
@@ -69,7 +70,6 @@ __all__ = [
     "build_skeleton_variables",
     "build_adversarial_process",
     "second_moment_oracle",
-    "simulate_sup_square",
     "verify_chaining_bound",
     "lower_bound_report",
 ]
@@ -94,10 +94,10 @@ def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
     keys are independent for all practical purposes (numpy's "Parallel
     Random Number Generation").  Each stream is read from its start, so
     no counter-based generator is needed.  The keys in use are (seed, 0,
-    j), (seed, 1, j) and (seed, 2, kappa, j).  With the seed in one 32-bit
-    word, the kind word tells the kinds apart and the remaining words the
-    keys of one kind, also once padded to four words or split into 32-bit
-    words.
+    j), (seed, 1, j), (seed, 2, kappa, j) and (seed, 3, 0).  With the
+    seed in one 32-bit word, the kind word tells the kinds apart and the
+    remaining words the keys of one kind, also once padded to four words
+    or split into 32-bit words.
     """
     _check_seed(seed)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, kind, *key))))
@@ -263,16 +263,6 @@ class SkeletonVariables(_Frozen):
                 out.append((p * 0.5 ** len(free_slots), tau, z))
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "probs": [float(v) for v in self.probs],
-            "n": self.n,
-            "x": self.x,
-            "y": self.y,
-            "pair": list(self.pair),
-            "v": self.v,
-        }
-
 
 def _skeleton_law(children: np.ndarray, good: np.ndarray) -> tuple:
     """Skeleton laws of the rows of (rows, 4) child masses with positive totals.
@@ -358,9 +348,6 @@ class BridgeLeaf(_Frozen):
     def dim(self) -> int:
         return int(self.positions.size)
 
-    def covariance(self) -> np.ndarray:
-        return _bridge_covariance(self.local[:, None], self.local, self.level)
-
     def values(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Bridge values at the positive-coordinate points from standard normals.
 
@@ -435,6 +422,7 @@ class ProcessSampler:
             out[..., start + order] = s
         return out
 
+    # perfbench/spans.py wraps this method by name for every --trace 1 run
     def sample(self, paths: int, seed: int) -> np.ndarray:
         """Matrix of process values, one row per path, one column per point."""
         return self.per_path(paths, seed, lambda v: v).T
@@ -636,12 +624,12 @@ class OrthogonalLift(ProcessSampler):
         return self.inner._block(paths)
 
     def _blocks(self, paths: int, seed: int, scratch: np.ndarray | None = None):
-        # the linear term reads normal slot 0, which the adversarial sampler
-        # leaves alone, in the inner sampler's blocks and scratch
+        # the linear term reads its own stream (seed, 3, 0), not the Gaussian
+        # generator's phi_1, in the inner sampler's blocks and scratch
         block = self._block(paths)
         scratch = np.empty(self.points.size * block) if scratch is None else scratch
         inner = self.inner._blocks(paths, seed, scratch)
-        normal, z = _stream(seed, 1, 0), np.empty(block)
+        normal, z = _stream(seed, 3, 0), np.empty(block)
 
         def blocks():
             for start, stop, vals, order in inner:
@@ -781,6 +769,7 @@ class OrthonormalGenerator(_Frozen):
                 yield start, stop, self.rows(U, Z, n_terms, out)
         return rows()
 
+    # perfbench/spans.py wraps this method by name for every --trace 1 run
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
         blocks = self._blocks(n_terms, paths, seed)
         out = np.empty((paths, n_terms))
@@ -814,22 +803,11 @@ def _sup_square(hi: np.ndarray, lo: np.ndarray, seed: int) -> MCEstimate:
     return MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
 
 
-def simulate_sup_square(
-    coeffs,
-    generator: OrthonormalGenerator,
-    paths: int,
-    seed: int,
-) -> MCEstimate:
-    """Monte Carlo estimate of E max_m (a_1 phi_1 + ... + a_m phi_m)**2."""
-    if not isinstance(coeffs, CoefficientSequence):
-        coeffs = CoefficientSequence.explicit(np.asarray(coeffs, dtype=float))
-    return _sup_square(*_partial_sum_extremes(coeffs.values, generator, paths, seed), seed)
-
-
 class ChainingReport(NamedTuple):
     """Simulated supremum against the strong-functional upper bound.
 
-    ``sup_square``, left out of the JSON, is ``simulate_sup_square`` of the same paths.
+    ``sup_square``, left out of the JSON, is the Monte Carlo estimate of
+    E max_m (a_1 phi_1 + ... + a_m phi_m)**2 from the same paths.
     """
 
     estimate: MCEstimate

@@ -492,9 +492,6 @@ class DiscreteMeasure(_Frozen):
         w = rng.dirichlet(np.ones(len(index_set)))
         return cls(index_set, w / w.sum())
 
-    def mass_at(self, t: float) -> float:
-        return float(self.weights[self.index_set.position(t)])
-
     @functools.cached_property
     def integrals(self) -> np.ndarray:
         """Read-only f(t) = integral_0^sqrt(D) m(B(t, r^2))^(-1/2) dr for every

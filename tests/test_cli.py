@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
+import inspect
 import io
 import json
 import math
@@ -691,6 +692,19 @@ def test_base_depth_below_one_is_usage_error(argv, depth, capsys, no_stage_runs)
     assert "base depth must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("objective", ["strong", "weak", "gap"])
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_restarts_below_one_is_usage_error(objective, restarts, capsys, no_stage_runs):
+    # only maximize_weak reads --restarts, yet every objective refuses it while parsing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", "--objective", objective, "--seed", "1",
+                  "--restarts", restarts])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "restarts must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--paths", "2000"],
     ["evaluate", "--seed", "1"],
@@ -777,6 +791,11 @@ def test_benchmark_traced_names_resolve(monkeypatch):
             assert callable(getattr(module, cls_name).__dict__.get(meth)), attr
         else:
             assert callable(getattr(module, attr, None)), attr
+    # the span counters bind these arguments of the traced methods by name
+    for cls, meth, names in (
+            (processes.OrthonormalGenerator, "sample_matrix", {"n_terms", "paths"}),
+            (processes.ProcessSampler, "sample", {"paths"})):
+        assert names <= set(inspect.signature(cls.__dict__[meth]).parameters), meth
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

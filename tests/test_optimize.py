@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import orthomm as om
-from orthomm.optimize import OptimizerOptions, strong_subgradient
+from orthomm import optimize
+from orthomm.optimize import strong_subgradient
 
 ROOT_HALF = math.sqrt(2.0) / 2.0
 
@@ -29,13 +31,45 @@ def two_point_grid_minimum(samples: int = 2_000_001) -> tuple[float, float]:
     return float(f[i]), float(w[i])
 
 
+BAD_OPTIONS = [({"max_iters": 0}, "max_iters must be at least 1"),
+               ({"tol": 0.0}, "tol must lie in (0, 1)"),
+               ({"tol": 1.0}, "tol must lie in (0, 1)"),
+               ({"restarts": 0}, "restarts must be at least 1")]
+
+
 def test_options_validation():
-    with pytest.raises(ValueError):
-        OptimizerOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizerOptions(restarts=0)
+    # each optimizer checks the options it reads, before its one-point return
+    singleton = om.IndexSet(points=np.array([0.0]), scale=1.0,
+                            raw_total=0.0, merged_duplicates=0)
+    for index in (singleton, explicit_set(0.5)):
+        for options, message in BAD_OPTIONS:
+            optimizers = [om.maximize_weak, om.duality_gap_report]
+            if "restarts" not in options:
+                optimizers.append(om.minimize_strong)
+            for optimizer in optimizers:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    optimizer(index, **options)
+
+
+def test_duality_report_checks_restarts_before_the_strong_side(monkeypatch):
+    def ran(*args, **kwargs):
+        pytest.fail("minimize_strong ran")
+    monkeypatch.setattr(optimize, "minimize_strong", ran)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        om.duality_gap_report(explicit_set(0.5), restarts=0)
+
+
+@pytest.mark.parametrize("options", [{"seed": 0}, {"restarts": 2}, {"restarts": 2, "seed": 0}])
+def test_minimize_takes_no_option_it_does_not_read(options):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        om.minimize_strong(explicit_set(0.5), **options)
+
+
+@pytest.mark.parametrize("optimizer", [om.minimize_strong, om.maximize_weak,
+                                       om.duality_gap_report])
+def test_options_are_keyword_only(optimizer):
+    with pytest.raises(TypeError, match="positional"):
+        optimizer(explicit_set(0.5), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +98,7 @@ def test_minimize_singleton_is_zero():
 def test_minimize_never_worse_than_uniform(count):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, count))
     uniform_value, _ = om.strong_functional(om.make_measure(index, "uniform"))
-    res = om.minimize_strong(index, OptimizerOptions(seed=0))
+    res = om.minimize_strong(index)
     assert res.value <= uniform_value + 1e-9
 
 
@@ -107,7 +141,7 @@ def test_minimize_result_json_shape():
 
 
 def test_maximize_two_points_finds_uniform():
-    res = om.maximize_weak(explicit_set(0.5), OptimizerOptions(seed=0))
+    res = om.maximize_weak(explicit_set(0.5), seed=0)
     assert res.value == pytest.approx(ROOT_HALF, abs=1e-9)
     assert abs(res.measure.weights - 0.5).max() < 1e-6
 
@@ -115,7 +149,7 @@ def test_maximize_two_points_finds_uniform():
 def test_maximize_at_least_uniform_start():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 12))
     uniform_weak = om.weak_functional(om.make_measure(index, "uniform"))
-    res = om.maximize_weak(index, OptimizerOptions(seed=3))
+    res = om.maximize_weak(index, seed=3)
     assert res.value >= uniform_weak - 1e-9
 
 
@@ -133,13 +167,13 @@ def test_maximize_value_is_the_weak_functional_of_its_measure(seq):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         index = om.build_index_set(seq)
-    res = om.maximize_weak(index, OptimizerOptions(seed=0))
+    res = om.maximize_weak(index, seed=0)
     assert res.value == om.weak_functional(res.measure)
 
 
 def test_maximize_requires_seed_for_restarts():
     with pytest.raises(ValueError, match="seed required"):
-        om.maximize_weak(explicit_set(0.5, 0.5), OptimizerOptions(restarts=4))
+        om.maximize_weak(explicit_set(0.5, 0.5), restarts=4)
 
 
 def test_maximize_singleton_is_zero():
@@ -220,7 +254,7 @@ def test_strong_value_midpoint_convexity(seed):
 
 
 def test_duality_two_points_is_tight():
-    rep = om.duality_gap_report(explicit_set(0.5), OptimizerOptions(seed=0))
+    rep = om.duality_gap_report(explicit_set(0.5), seed=0)
     assert rep.upper.value == pytest.approx(ROOT_HALF, abs=1e-9)
     assert rep.lower.value == pytest.approx(ROOT_HALF, abs=1e-9)
     assert rep.ratio == pytest.approx(1.0, abs=1e-8)
@@ -237,7 +271,7 @@ def test_duality_singleton_ratio_is_none():
 
 def test_duality_ratio_near_one_and_measures_consistent():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
-    rep = om.duality_gap_report(index, OptimizerOptions(seed=1))
+    rep = om.duality_gap_report(index, seed=1)
     assert rep.ratio == rep.upper.value / rep.lower.value
     assert rep.ratio == pytest.approx(1.0, abs=0.05)
     for res in (rep.upper, rep.lower):
@@ -254,7 +288,8 @@ def test_duality_ratio_near_one_and_measures_consistent():
 def test_optimizers_return_a_measure_holding_its_integrals(optimizer, count_builds):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     calls = count_builds(om.DiscreteMeasure, "integrals")
-    res = optimizer(index, OptimizerOptions(seed=1, restarts=2))
+    options = {} if optimizer is om.minimize_strong else {"seed": 1, "restarts": 2}
+    res = optimizer(index, **options)
     assert "integrals" in vars(res.measure)
     # one pass per iteration, so the returned measure was one of them
     assert len(calls) == res.iterations
@@ -264,5 +299,5 @@ def test_optimizers_return_a_measure_holding_its_integrals(optimizer, count_buil
 def test_duality_report_adds_no_integral_pass(count_builds):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     calls = count_builds(om.DiscreteMeasure, "integrals")
-    rep = om.duality_gap_report(index, OptimizerOptions(seed=1))
+    rep = om.duality_gap_report(index, seed=1)
     assert len(calls) == rep.upper.iterations + rep.lower.iterations

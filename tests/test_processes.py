@@ -11,7 +11,13 @@ import pytest
 
 import orthomm as om
 from orthomm import checks, processes
-from orthomm.processes import _build_bridge, _partial_sum_extremes, _path_blocks, _stream
+from orthomm.processes import (
+    _bridge_covariance,
+    _build_bridge,
+    _partial_sum_extremes,
+    _path_blocks,
+    _stream,
+)
 
 PATHS = 40_000
 
@@ -227,12 +233,6 @@ def test_skeleton_increments_returns_a_copy():
     assert free[0] == 1.0
 
 
-def test_skeleton_to_json():
-    sk = om.build_skeleton_variables([0.5, 0.0, 0.5, 0.0], {0})
-    doc = sk.to_json()
-    assert doc["n"] == 3 and doc["pair"] == [0, 2] and doc["v"] == 0.125
-
-
 # ---------------------------------------------------------------------------
 # one-level second-moment oracle
 
@@ -287,12 +287,17 @@ def test_oracle_rejects_bad_arguments():
 # bridge leaves
 
 
+def bridge_covariance(b) -> np.ndarray:
+    """The leaf's closed-form covariance over its positive-coordinate points."""
+    return _bridge_covariance(b.local[:, None], b.local, b.level)
+
+
 def test_bridge_factorization_and_covariance():
     index, _, _ = uniform_setup(12)
     starts, keys = index.partition.cell_arrays(1)
     for key, start, stop in zip(keys, starts, np.r_[starts[1:], len(index)]):
         b = _build_bridge(1, int(key), index.points, int(start), int(stop))
-        cov = b.covariance()
+        cov = bridge_covariance(b)
         # the recursion's implied factor, L[k, j] = sigma[j] a[j+1] ... a[k]
         factor = b.values(np.eye(b.dim)).T
         assert np.array_equal(np.tril(factor), factor)
@@ -335,7 +340,7 @@ def test_bridge_duplicated_coordinates_get_equal_values():
     draws = b.values(np.random.default_rng(5).standard_normal((200, b.dim)))
     assert draws[:, 0].tobytes() == draws[:, 1].tobytes()
     factor = b.values(np.eye(b.dim)).T
-    assert np.allclose(factor @ factor.T, b.covariance(), atol=1e-10)
+    assert np.allclose(factor @ factor.T, bridge_covariance(b), atol=1e-10)
 
 
 def test_bridge_leaves_store_one_number_per_point():
@@ -359,7 +364,7 @@ def test_bridge_empirical_covariance():
     rng = np.random.default_rng(7)
     draws = b.values(rng.standard_normal((PATHS, b.dim)))
     emp = draws.T @ draws / PATHS
-    assert np.allclose(emp, b.covariance(), atol=4.0 / math.sqrt(PATHS))
+    assert np.allclose(emp, bridge_covariance(b), atol=4.0 / math.sqrt(PATHS))
 
 
 def test_bridge_values_do_not_depend_on_the_row_count():
@@ -370,7 +375,7 @@ def test_bridge_values_do_not_depend_on_the_row_count():
     assert b.dim == 41
     z = np.random.default_rng(4).standard_normal((b.dim, 5_000)).T
     full = b.values(z)
-    assert np.allclose(full, z @ np.linalg.cholesky(b.covariance()).T, rtol=0, atol=1e-12)
+    assert np.allclose(full, z @ np.linalg.cholesky(bridge_covariance(b)).T, rtol=0, atol=1e-12)
     for n in [*range(1, 70), 128, 1000, 4096]:
         assert b.values(z[:n]).tobytes() == full[:n].tobytes()
         assert b.values(np.ascontiguousarray(z[-n:])).tobytes() == full[-n:].tobytes()
@@ -520,6 +525,18 @@ def test_lift_pairs_paths_with_inner_sampler():
     assert np.array_equal(diff[:, 0], np.zeros(1_000))
 
 
+def test_lift_term_is_not_the_gaussian_generators_first_term():
+    # pipeline gives its chaining and lower-bound checks one seed, so the
+    # lift's linear term must not be phi_1 of the Gaussian partial sums
+    index, u, _ = uniform_setup(8)
+    inner = om.build_adversarial_process(u, 3)
+    lift = om.OrthogonalLift(inner)
+    term = (lift.sample(6, 11) - inner.sample(6, 11))[:, -1] / index.points[-1]
+    phi_1 = om.OrthonormalGenerator("gaussian").sample_matrix(8, 6, 11)[:, 0]
+    assert not np.isclose(term, phi_1).any()
+    assert np.allclose(term, _stream(11, 3, 0).standard_normal(6))
+
+
 def test_lift_increment_second_moments():
     index, u, depth = uniform_setup(9, depth=2)
     lift = om.OrthogonalLift(om.build_adversarial_process(u, depth))
@@ -628,7 +645,7 @@ def test_seeds_outside_32_bits_are_refused(seed):
                  lambda: lift.sample(10, seed),
                  lambda: om.AdversarialSampler(u, 0).sample(10, seed),
                  lambda: om.lower_bound_report(u, 1, 10, seed),
-                 lambda: om.simulate_sup_square([1.0], om.OrthonormalGenerator(), 10, seed),
+                 lambda: om.verify_chaining_bound(u, om.OrthonormalGenerator(), 10, seed),
                  lambda: om.OrthonormalGenerator().sample_matrix(2, 10, seed)):
         with pytest.raises(ValueError, match="below 2\\*\\*32"):
             call()
@@ -654,7 +671,7 @@ def test_stream_keys_of_a_deep_pipeline_run_are_distinct(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "r.json")]) == 0
     bridge_keys = [k for k in keys if k[1] == 2]
     assert max(k[2] for k in bridge_keys) >= 2 ** 32
-    assert {k[1] for k in keys} == {0, 1, 2}
+    assert {k[1] for k in keys} == {0, 1, 2, 3}  # the lift's linear term is kind 3
     states = {np.random.SeedSequence(k).generate_state(4).tobytes() for k in keys}
     assert len(states) == len(keys)
 
@@ -897,30 +914,32 @@ def test_mc_estimate_needs_two_samples(n):
         om.MCEstimate.from_samples(np.ones(n), seed=1)
 
 
-def test_simulate_sup_square_two_sign_example():
-    seq = om.CoefficientSequence.explicit([0.5, 0.5])
-    est = om.simulate_sup_square(seq, om.OrthonormalGenerator("rademacher"),
-                                 paths=PATHS, seed=4)
+def chaining_sup_square(values, kind: str, paths: int, seed: int) -> om.MCEstimate:
+    """The chaining report's E max_m (a_1 phi_1 + ... + a_m phi_m)**2 for coefficients ``values``."""
+    u = om.make_measure(explicit_set(*values), "uniform")
+    return om.verify_chaining_bound(u, om.OrthonormalGenerator(kind), paths, seed).sup_square
+
+
+def test_chaining_sup_square_two_sign_example():
+    est = chaining_sup_square([0.5, 0.5], "rademacher", paths=PATHS, seed=4)
     assert abs(est.mean - 0.625) <= 3.0 * est.stderr
 
 
-def test_simulate_sup_square_single_rademacher_term_is_exact():
-    est = om.simulate_sup_square([1.0], om.OrthonormalGenerator("rademacher"),
-                                 paths=500, seed=4)
+def test_chaining_sup_square_single_rademacher_term_is_exact():
+    est = chaining_sup_square([1.0], "rademacher", paths=500, seed=4)
     assert est.mean == 1.0
     assert est.stderr == 0.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "trigonometric"])
-def test_simulate_sup_square_single_term_unit_mean(kind):
-    est = om.simulate_sup_square([1.0], om.OrthonormalGenerator(kind),
-                                 paths=PATHS, seed=8)
+def test_chaining_sup_square_single_term_unit_mean(kind):
+    est = chaining_sup_square([1.0], kind, paths=PATHS, seed=8)
     assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
 
-def test_simulate_sup_square_needs_paths():
+def test_chaining_sup_square_needs_paths():
     with pytest.raises(ValueError, match="at least two samples"):
-        om.simulate_sup_square([1.0], om.OrthonormalGenerator(), paths=1, seed=0)
+        chaining_sup_square([1.0], "gaussian", paths=1, seed=0)
 
 
 def test_verify_chaining_bound_two_points():
@@ -979,7 +998,8 @@ def test_chaining_report_carries_the_sup_square_of_its_paths(kind):
     u = om.make_measure(om.build_index_set(seq), "uniform")
     gen = om.OrthonormalGenerator(kind)
     rep = om.verify_chaining_bound(u, gen, paths=5000, seed=4)
-    assert rep.sup_square == om.simulate_sup_square(seq, gen, 5000, 4)
+    partial = np.cumsum(gen.sample_matrix(len(seq), 5000, 4) * seq.values, axis=1)
+    assert rep.sup_square == om.MCEstimate.from_samples((partial ** 2).max(axis=1), 4)
     assert "sup_square" not in rep.to_json()
 
 
