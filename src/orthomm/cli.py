@@ -170,15 +170,15 @@ def cmd_evaluate(args):
 
 def cmd_optimize(args):
     index_set, _ = _build_objects(_parse_coeffs(args.coeffs))
+    config = {"coeffs": index_set.coeffs.to_json(), "objective": args.objective,
+              "max_iters": args.max_iters, "tol": args.tol}
     if args.objective == "strong":
         result = minimize_strong(index_set, max_iters=args.max_iters, tol=args.tol)
     else:
         optimizer = maximize_weak if args.objective == "weak" else duality_gap_report
         result = optimizer(index_set, max_iters=args.max_iters, tol=args.tol,
                            restarts=args.restarts, seed=args.seed)
-    config = {"coeffs": index_set.coeffs.to_json(), "objective": args.objective,
-              "max_iters": args.max_iters, "tol": args.tol,
-              "restarts": args.restarts, "seed": args.seed}
+        config.update(restarts=args.restarts, seed=args.seed)  # minimize_strong reads neither
     return 0, config, result.to_json()
 
 

@@ -12,13 +12,16 @@ linear Gaussian term turns the bridge-type increments |s-t|(1 - |s-t|)
 into orthogonal increments |s-t| exactly.
 
 Every variate comes from an SFC64 stream keyed by (seed, kind, *key):
-uniform slot j is (seed, 0, j), normal slot j is (seed, 1, j), normal
-slot j of the bridge at the leaf with exact cell key kappa is (seed, 2,
-kappa, j), and the orthogonal lift's linear term is (seed, 3, 0), apart
-from the Gaussian generator's normal slots.  Path i reads element i of
-each uniform and normal slot and of the linear term, and element r_i of
-its leaf's bridge slots, where r_i counts the paths before i that reach
-the same leaf.  So a path's values do not depend on the path
+the adversarial sampler's uniform slot j is (seed, 0, j), the Gaussian
+generator's normal slot j is (seed, 1, j), normal slot j of the bridge
+at the leaf with exact cell key kappa is (seed, 2, kappa, j), the
+orthogonal lift's linear term is (seed, 3, 0), and the Rademacher or
+trigonometric generator's uniform slot j is (seed, 4, j), so the
+chaining check and the adversarial sampler share no stream under any
+generator.  Each stage reads one kind of slot.  Path i reads element i
+of each slot and of the linear term, and element r_i of its leaf's
+bridge slots, where r_i counts the paths before i that reach the same
+leaf.  So a path's values do not depend on the path
 count, and adding slots leaves the existing ones unchanged.  Every Monte
 Carlo reduction runs on consecutive blocks of at most ``_PATH_BLOCK``
 paths and ``_BLOCK_ENTRIES`` entries of the widest per-path row, in
@@ -94,10 +97,10 @@ def _stream(seed: int, kind: int, *key: int) -> np.random.Generator:
     keys are independent for all practical purposes (numpy's "Parallel
     Random Number Generation").  Each stream is read from its start, so
     no counter-based generator is needed.  The keys in use are (seed, 0,
-    j), (seed, 1, j), (seed, 2, kappa, j) and (seed, 3, 0).  With the
-    seed in one 32-bit word, the kind word tells the kinds apart and the
-    remaining words the keys of one kind, also once padded to four words
-    or split into 32-bit words.
+    j), (seed, 1, j), (seed, 2, kappa, j), (seed, 3, 0) and (seed, 4, j).
+    With the seed in one 32-bit word, the kind word tells the kinds apart
+    and the remaining words the keys of one kind, also once padded to four
+    words or split into 32-bit words.
     """
     _check_seed(seed)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, kind, *key))))
@@ -121,40 +124,31 @@ def _block_paths(paths: int, width: int) -> int:
     return max(1, min(paths, _PATH_BLOCK, _BLOCK_ENTRIES // max(width, 1)))
 
 
-def _path_blocks(seed: int, paths: int, n_uniform: int, n_normal: int,
-                 block: int | None = None):
-    """(start, stop, U, Z) for consecutive blocks of ``block`` paths.
+def _slots(seed: int, kind: int, count: int) -> list:
+    """The streams (seed, kind, j) of slots j < count; the seed is
+    checked also when there are none."""
+    _check_seed(seed)
+    return [_stream(seed, kind, j) for j in range(count)]
 
-    U holds uniform slots 0..n_uniform-1 and Z normal slots
-    0..n_normal-1 of paths start..stop-1, one row per path; ``block``
-    defaults to the slot count's.  The arguments are checked at the call,
-    the blocks are read as they are taken, each into the same U and Z
-    buffers, so a caller that keeps a block past the next one copies it.
+
+def _slot_blocks(streams: list, paths: int, block: int, normal: bool):
+    """(start, stop, V) for consecutive blocks of ``block`` paths.
+
+    V holds the next values of each stream, normals if ``normal`` else
+    uniforms, for paths start..stop-1: one column per stream, one row per
+    path.  ``paths`` is checked at the call; the blocks are read as they
+    are taken, each into the same buffer, so a caller that keeps a block
+    past the next one copies it.
     """
     if paths <= 0:
         raise ValueError("at least one path required")
-    _check_seed(seed)
-    block = block or _block_paths(paths, n_uniform + n_normal)
-    uniform = [_stream(seed, 0, j) for j in range(n_uniform)]
-    normal = [_stream(seed, 1, j) for j in range(n_normal)]
 
     def blocks():
-        ubuf, zbuf = (np.empty(n * block) for n in (n_uniform, n_normal))
+        buf = np.empty(len(streams) * block)
         for start in range(0, paths, block):
             stop = min(start + block, paths)
-            yield (start, stop, _read(uniform, stop - start, False, ubuf),
-                   _read(normal, stop - start, True, zbuf))
+            yield start, stop, _read(streams, stop - start, normal, buf)
     return blocks()
-
-
-def _selector_cdf(probs: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs, axis=-1)
-    return cum / cum[..., -1:]
-
-
-def _draw_tau(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms to child selectors by inverse CDF."""
-    return np.minimum(np.searchsorted(_selector_cdf(probs), u, side="right"), 3)
 
 
 def _left_endpoint(cell_index: int, level: int) -> float:
@@ -237,16 +231,6 @@ class SkeletonVariables(_Frozen):
                           np.where(tau == self.pair[1], self.y, 0.0))
         z[..., self.n] = pinned
         return z
-
-    def from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Selectors and increments from an (n, 5) block of uniforms.
-
-        Column 0 picks the child by inverse CDF; columns 1-4 give the
-        free signs, +1 below one half.
-        """
-        tau = _draw_tau(self.probs, u[:, 0])
-        free = np.where(u[:, 1:5] < 0.5, 1.0, -1.0)
-        return tau, self.increments(tau, free)
 
     def enumerate_outcomes(self) -> list[tuple[float, int, np.ndarray]]:
         """All (probability, selector, increments) atoms of the joint law."""
@@ -478,7 +462,8 @@ class AdversarialSampler(ProcessSampler):
             pin = np.full(rows, 4, dtype=np.intp)  # slot 4: no pinned slot
             probs, pin[reached], pinned[reached], _ = _skeleton_law(lv.children[reached],
                                                                     lv.good[reached])
-            cdf[:, reached] = _selector_cdf(probs).T
+            cum = np.cumsum(probs, axis=1)
+            cdf[:, reached] = (cum / cum[:, -1:]).T
             root[reached] = np.sqrt(probs)
             child = np.full((rows, 4), -1, dtype=np.intp)
             child[lv.parent, lv.slot] = np.where(lv.masses > 0.0, np.arange(lv.starts.size), -1)
@@ -497,7 +482,7 @@ class AdversarialSampler(ProcessSampler):
 
     def _blocks(self, paths: int, seed: int, scratch: np.ndarray | None = None):
         block = self._block(paths)
-        blocks = _path_blocks(seed, paths, self.n_uniform_slots, 0, block)
+        blocks = _slot_blocks(_slots(seed, 0, self.n_uniform_slots), paths, block, False)
         streams = {}  # leaf row -> the normal slots of its bridge, opened on first reach
         vals = np.empty(self.points.size * block)
         buf = np.empty(vals.size) if scratch is None else scratch
@@ -509,14 +494,14 @@ class AdversarialSampler(ProcessSampler):
             return _read(streams[r], count, True, buf)
 
         return ((start, stop, *self._evaluate(U, normals, vals, buf))
-                for start, stop, U, _ in blocks)
+                for start, stop, U in blocks)
 
     def _evaluate(self, U: np.ndarray, normals, vals: np.ndarray,
                   buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Process values of one block of paths, one level at a time.
 
-        The selector uniforms fix each path's cell row at every level, as
-        ``SkeletonVariables.from_uniforms`` draws it, and the row tables
+        The selector uniforms fix each path's cell row at every level, by
+        inverse CDF of its row's selector law, and the row tables
         give every path's increments and skeleton in one pass per level.
         Sorted stably by leaf row, the paths are sorted by their row at
         every level, so one ``searchsorted`` per level finds each row's run
@@ -629,12 +614,11 @@ class OrthogonalLift(ProcessSampler):
         block = self._block(paths)
         scratch = np.empty(self.points.size * block) if scratch is None else scratch
         inner = self.inner._blocks(paths, seed, scratch)
-        normal, z = _stream(seed, 3, 0), np.empty(block)
+        linear = _slot_blocks(_slots(seed, 3, 1), paths, block, True)
 
         def blocks():
-            for start, stop, vals, order in inner:
-                zo = normal.standard_normal(out=z[:stop - start])[order]
-                term = np.multiply(self.points[:, None], zo,
+            for (start, stop, vals, order), (_, _, Z) in zip(inner, linear):
+                term = np.multiply(self.points[:, None], Z[order, 0],
                                    out=scratch[:vals.size].reshape(vals.shape))
                 yield start, stop, np.add(vals, term, out=vals), order
         return blocks()
@@ -736,37 +720,39 @@ class OrthonormalGenerator(_Frozen):
     def normal_slots(self, n_terms: int) -> int:
         return n_terms if self.kind == "gaussian" else 0
 
-    def rows(self, U: np.ndarray, Z: np.ndarray, n_terms: int,
-             out: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, V: np.ndarray, n_terms: int, out: np.ndarray | None = None) -> np.ndarray:
         """phi_1 .. phi_n of a block of paths, one row per slot, one column
-        per path: a view of Z, signs written over U, or cosines written into
-        ``out`` (new when not given)."""
+        per path, from the block's slot values V (one row per path): a view
+        of V's normals, signs written over its uniforms, or cosines written
+        into ``out`` (new when not given)."""
         if self.kind == "gaussian":
-            return Z.T[:n_terms]
+            return V.T[:n_terms]
         if self.kind == "rademacher":
-            signs = np.greater_equal(U.T[:n_terms], 0.5, out=U.T[:n_terms])
+            signs = np.greater_equal(V.T[:n_terms], 0.5, out=V.T[:n_terms])
             signs *= -2.0
             signs += 1.0  # +1 below one half, else -1
             return signs
         freq = np.arange(1, n_terms + 1)
-        phi = np.multiply(2.0 * math.pi * U.T[:1], freq[:, None], out=out)
+        phi = np.multiply(2.0 * math.pi * V.T[:1], freq[:, None], out=out)
         np.cos(phi, out=phi)
         phi *= math.sqrt(2.0)
         return phi
 
     def _blocks(self, n_terms: int, paths: int, seed: int):
         """(start, stop, slot-major rows of paths start..stop-1), block by
-        block; the next block is written over the rows."""
+        block; the next block is written over the rows.  Gaussian normals
+        read slots (seed, 1, j), the other kinds' uniforms (seed, 4, j)."""
         block = _block_paths(paths, n_terms)
-        blocks = _path_blocks(seed, paths, self.uniform_slots(n_terms),
-                              self.normal_slots(n_terms), block)
+        gaussian = self.kind == "gaussian"
+        count = self.normal_slots(n_terms) if gaussian else self.uniform_slots(n_terms)
+        blocks = _slot_blocks(_slots(seed, 1 if gaussian else 4, count), paths, block, gaussian)
         cosines = np.empty(n_terms * block) if self.kind == "trigonometric" else None
 
         def rows():
-            for start, stop, U, Z in blocks:
+            for start, stop, V in blocks:
                 out = None if cosines is None else \
                     cosines[:n_terms * (stop - start)].reshape(n_terms, -1)
-                yield start, stop, self.rows(U, Z, n_terms, out)
+                yield start, stop, self.rows(V, n_terms, out)
         return rows()
 
     # perfbench/spans.py wraps this method by name for every --trace 1 run

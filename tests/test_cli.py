@@ -168,6 +168,21 @@ def test_optimize_strong_two_points(capsys):
     assert rep["weights"] == pytest.approx([0.5, 0.5], abs=1e-6)
 
 
+def test_optimize_strong_records_no_option_it_does_not_read(capsys):
+    # minimize_strong reads neither --seed nor --restarts, so neither may move
+    # the report; the weak side's restarts read both, so its config keeps them
+    coeffs = '{"kind": "power", "exponent": 1.0, "count": 16}'
+    outs = [run("optimize", "--no-timestamp", "--coeffs", coeffs, "--seed", seed,
+                "--restarts", "3", capsys=capsys) for seed in ("1", "2")]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert set(json.loads(outs[0][1])["config"]) == {"coeffs", "objective", "max_iters", "tol"}
+    for objective in ("weak", "gap"):
+        config = run_json("optimize", "--no-timestamp", "--objective", objective,
+                          "--coeffs", "[0.5]", "--seed", "2", "--restarts", "3",
+                          capsys=capsys)["config"]
+        assert (config["seed"], config["restarts"]) == (2, 3)
+
+
 def test_optimize_weak_requires_seed(capsys):
     rc, _, err = run("optimize", "--objective", "weak", "--coeffs", "[0.5]",
                      capsys=capsys)
@@ -562,6 +577,17 @@ def test_pipeline_end_to_end(capsys):
     assert rep["optimize"]["converged"] is True
     assert rep["build"]["separation_depth"] >= 1
     assert doc["config"]["seed"] == 11
+
+
+def test_pipeline_monte_carlo_numbers_are_pinned(capsys):
+    # the Gaussian pipeline's Monte Carlo estimates, pinned: a change to any
+    # stream that its chaining check or its lower bound reads moves them
+    rep = run_json("pipeline", "--seed", "11", "--paths", "2000", "--no-timestamp",
+                   capsys=capsys)["report"]
+    assert {k: (rep[k]["estimate"]["mean"], rep[k]["estimate"]["stderr"])
+            for k in ("chaining", "lower_bound")} == {
+        "chaining": (1.6237232820150294, 0.036385662701197766),
+        "lower_bound": (1.5261532886824156, 0.037483172647720955)}
 
 
 def test_pipeline_deterministic_reruns(capsys):

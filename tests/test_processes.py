@@ -15,24 +15,26 @@ from orthomm.processes import (
     _bridge_covariance,
     _build_bridge,
     _partial_sum_extremes,
-    _path_blocks,
+    _slot_blocks,
+    _slots,
     _stream,
 )
 
 PATHS = 40_000
 
 
-def draw(seed: int, paths: int, n_uniform: int, n_normal: int):
-    """Every block of the block reader, stacked: uniforms U and normals Z.
+def draw(seed: int, paths: int, kind: int, count: int, normal: bool = False):
+    """Every block of the slot reader over the streams (seed, kind, j), j <
+    count, stacked: uniforms, or normals if ``normal``.
 
     Each block is copied, since the reader reads the next one over it."""
-    blocks = [(start, stop, U.copy(), Z.copy())
-              for start, stop, U, Z in _path_blocks(seed, paths, n_uniform, n_normal)]
+    streams = [_stream(seed, kind, j) for j in range(count)]
+    blocks = [(start, stop, V.copy()) for start, stop, V in
+              _slot_blocks(streams, paths, processes._block_paths(paths, count), normal)]
     assert [b[:2] for b in blocks] == \
         [(a, min(a + processes._PATH_BLOCK, paths))
          for a in range(0, paths, processes._PATH_BLOCK)]
-    return (np.vstack([U for _, _, U, _ in blocks]),
-            np.vstack([Z for _, _, _, Z in blocks]))
+    return np.vstack([V for _, _, V in blocks])
 
 
 def explicit_set(*values: float) -> om.IndexSet:
@@ -210,10 +212,13 @@ def test_skeleton_guarantee_matches_negative_part(seed):
 
 
 def test_skeleton_sampling_matches_law():
-    # the five uniform slots one level of the adversarial sampler reads
+    # the five uniform slots one level of the adversarial sampler reads: the
+    # child by inverse CDF, then the free signs, +1 below one half
     sk = om.build_skeleton_variables([0.4, 0.1, 0.4, 0.1], {0})
-    U, _ = draw(5, 20_000, 5, 0)
-    tau, z = sk.from_uniforms(U)
+    U = draw(5, 20_000, 0, 5)
+    cdf = np.cumsum(sk.probs)
+    tau = np.minimum(np.searchsorted(cdf / cdf[-1], U[:, 0], side="right"), 3)
+    z = sk.increments(tau, np.where(U[:, 1:] < 0.5, 1.0, -1.0))
     freq = np.bincount(tau, minlength=4) / tau.size
     err = 5.0 * np.sqrt(sk.probs * (1 - sk.probs) / tau.size)
     assert np.all(np.abs(freq - sk.probs) <= err + 1e-12)
@@ -456,6 +461,8 @@ def test_adversarial_seed_and_path_validation():
         sampler.sample(100, -1)
     with pytest.raises(ValueError, match="path"):
         sampler.sample(0, seed=1)
+    with pytest.raises(ValueError, match="path"):  # at the call, with no stream to read
+        _slot_blocks([], 0, 1, False)
 
 
 def test_adversarial_depth_clip_warning():
@@ -566,22 +573,19 @@ def test_lift_dominates_inner_supremum():
 
 
 def test_draws_do_not_depend_on_path_count():
-    U, Z = draw(17, 9_000, 3, 4)
-    U2, Z2 = draw(17, 20_000, 3, 4)
-    assert np.array_equal(U, U2[:9_000])
-    assert np.array_equal(Z, Z2[:9_000])
+    for kind, count, normal in ((0, 3, False), (1, 4, True), (4, 3, False)):
+        V = draw(17, 9_000, kind, count, normal)
+        assert np.array_equal(V, draw(17, 20_000, kind, count, normal)[:9_000])
 
 
 def test_extra_slots_keep_existing_columns():
-    U, Z = draw(17, 500, 3, 4)
-    U2, Z2 = draw(17, 500, 3, 4 + 5)
-    assert np.array_equal(U, U2) and np.array_equal(Z, Z2[:, :4])
-    U3, Z3 = draw(17, 500, 3 + 5, 4)
-    assert np.array_equal(U, U3[:, :3]) and np.array_equal(Z, Z3)
+    for kind, normal in ((0, False), (1, True), (4, False)):
+        V = draw(17, 500, kind, 3, normal)
+        assert np.array_equal(V, draw(17, 500, kind, 3 + 5, normal)[:, :3])
 
 
 def test_each_slot_reads_its_own_stream():
-    U, Z = draw(17, 500, 2, 2)
+    U, Z, W = draw(17, 500, 0, 2), draw(17, 500, 1, 2, True), draw(17, 500, 4, 2)
 
     def stream(*key):
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
@@ -589,17 +593,18 @@ def test_each_slot_reads_its_own_stream():
     for j in range(2):
         assert np.array_equal(U[:, j], stream(17, 0, j).random(500))
         assert np.array_equal(Z[:, j], stream(17, 1, j).standard_normal(500))
-        # the two kinds of slot j are not one stream read twice
+        assert np.array_equal(W[:, j], stream(17, 4, j).random(500))
+        # the kinds of slot j are not one stream read twice
         assert not np.array_equal(U[:, j], stream(17, 1, j).random(500))
-    U2, Z2 = draw(18, 500, 2, 2)
-    assert not np.any(U == U2) and not np.any(Z == Z2)
-    cols = np.hstack([U, Z])
-    assert len({c.tobytes() for c in cols.T}) == 4
+    U2, Z2, W2 = draw(18, 500, 0, 2), draw(18, 500, 1, 2, True), draw(18, 500, 4, 2)
+    assert not np.any(U == U2) and not np.any(Z == Z2) and not np.any(W == W2)
+    cols = np.hstack([U, Z, W])
+    assert len({c.tobytes() for c in cols.T}) == 6
 
 
 def test_slot_columns_coarse_moments():
     paths = 20_000
-    U, Z = draw(29, paths, 32, 32)
+    U, Z = draw(29, paths, 0, 32), draw(29, paths, 1, 32, True)
     std = np.hstack([(U - 0.5) * math.sqrt(12.0), Z])
     assert std.shape == (paths, 64)
     assert np.all(np.abs(std.mean(axis=0)) <= 5.0 / math.sqrt(paths))
@@ -619,7 +624,7 @@ def test_stream_read_in_chunks_equals_one_bulk_read():
 @pytest.mark.parametrize("block", [1, 7, 4096])
 def test_block_reader_equals_bulk_streams(monkeypatch, block):
     monkeypatch.setattr(processes, "_PATH_BLOCK", block)
-    U, Z = draw(31, 300, 2, 3)
+    U, Z = draw(31, 300, 0, 2), draw(31, 300, 1, 3, True)
     for j in range(2):
         assert U[:, j].tobytes() == _stream(31, 0, j).random(300).tobytes()
     for j in range(3):
@@ -640,10 +645,13 @@ def test_seed_sequence_pads_keys_and_splits_wide_seeds():
 def test_seeds_outside_32_bits_are_refused(seed):
     _, u, depth = uniform_setup(4, depth=1)
     lift = om.OrthogonalLift(om.build_adversarial_process(u, depth))
+    # base depth 0 on a one-point set opens no stream at all
+    point = om.AdversarialSampler(om.make_measure(om.IndexSet([0.0], 1.0, 0.0), "uniform"), 0)
     for call in (lambda: _stream(seed, 0, 0),
-                 lambda: _path_blocks(seed, 10, 0, 0),
+                 lambda: _slots(seed, 0, 0),
                  lambda: lift.sample(10, seed),
                  lambda: om.AdversarialSampler(u, 0).sample(10, seed),
+                 lambda: point.sample(10, seed),
                  lambda: om.lower_bound_report(u, 1, 10, seed),
                  lambda: om.verify_chaining_bound(u, om.OrthonormalGenerator(), 10, seed),
                  lambda: om.OrthonormalGenerator().sample_matrix(2, 10, seed)):
@@ -666,14 +674,48 @@ def test_stream_keys_of_a_deep_pipeline_run_are_distinct(monkeypatch, tmp_path):
 
     monkeypatch.setattr(processes, "_stream", recording)
     coeffs = '{"kind": "geometric", "ratio": 0.5, "count": 40}'
-    assert cli.main(["pipeline", "--coeffs", coeffs, "--seed", str(2 ** 32 - 1),
-                     "--paths", "300", "--adversarial-depth", "40",
+    # the lift's linear term is kind 3, the non-Gaussian generators' uniforms kind 4
+    for generator, kinds in (("gaussian", {0, 1, 2, 3}), ("rademacher", {0, 2, 3, 4}),
+                             ("trig", {0, 2, 3, 4})):
+        keys.clear()
+        assert cli.main(["pipeline", "--coeffs", coeffs, "--seed", str(2 ** 32 - 1),
+                         "--paths", "300", "--adversarial-depth", "40",
+                         "--generator", generator, "--out", str(tmp_path / "r.json")]) == 0
+        bridge_keys = [k for k in keys if k[1] == 2]
+        assert max(k[2] for k in bridge_keys) >= 2 ** 32
+        assert {k[1] for k in keys} == kinds
+        states = {np.random.SeedSequence(k).generate_state(4).tobytes() for k in keys}
+        assert len(states) == len(keys)
+
+
+@pytest.mark.parametrize("generator", ["gaussian", "rademacher", "trig"])
+def test_pipeline_checks_read_disjoint_streams(monkeypatch, tmp_path, generator):
+    # pipeline runs its chaining check and its lower-bound check from one
+    # seed; they are independent only if they share no stream
+    from orthomm import cli
+
+    stage, keys = [None], {"chaining": set(), "lower_bound": set()}
+    original = processes._stream
+
+    def recording(seed, kind, *key):
+        keys[stage[0]].add((seed, kind, *key))
+        return original(seed, kind, *key)
+
+    def labelled(name, check):
+        def run(*args):
+            stage[0] = name
+            return check(*args)
+        return run
+
+    monkeypatch.setattr(processes, "_stream", recording)
+    monkeypatch.setattr(cli, "verify_chaining_bound",
+                        labelled("chaining", cli.verify_chaining_bound))
+    monkeypatch.setattr(cli, "lower_bound_report",
+                        labelled("lower_bound", cli.lower_bound_report))
+    assert cli.main(["pipeline", "--seed", "11", "--paths", "200", "--generator", generator,
                      "--out", str(tmp_path / "r.json")]) == 0
-    bridge_keys = [k for k in keys if k[1] == 2]
-    assert max(k[2] for k in bridge_keys) >= 2 ** 32
-    assert {k[1] for k in keys} == {0, 1, 2, 3}  # the lift's linear term is kind 3
-    states = {np.random.SeedSequence(k).generate_state(4).tobytes() for k in keys}
-    assert len(states) == len(keys)
+    assert keys["chaining"] and keys["lower_bound"]
+    assert not keys["chaining"] & keys["lower_bound"]
 
 
 # ---------------------------------------------------------------------------
@@ -740,10 +782,10 @@ def test_lower_bound_statistic_is_the_lift_supremum(monkeypatch):
 
 def path_major_rows(kind: str, terms: int, paths: int, seed: int) -> np.ndarray:
     """phi of every path, one row per path, from the stacked blocks."""
-    gen = om.OrthonormalGenerator(kind)
-    U, Z = draw(seed, paths, gen.uniform_slots(terms), gen.normal_slots(terms))
     if kind == "gaussian":
-        return Z[:, :terms]
+        return draw(seed, paths, 1, terms, True)
+    # the Rademacher and trigonometric generators read uniform slots of kind 4
+    U = draw(seed, paths, 4, om.OrthonormalGenerator(kind).uniform_slots(terms))
     if kind == "rademacher":
         return np.where(U[:, :terms] < 0.5, 1.0, -1.0)
     freq = np.arange(1, terms + 1)

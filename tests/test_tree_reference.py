@@ -267,7 +267,10 @@ def ref_sampler_evaluate(root: RefNode, points: np.ndarray, paths: int,
         k = node.level + 1
         base = 5 * node.level
         sk = node.skeleton
-        tau, z = sk.from_uniforms(U[idx, base:base + 5])
+        u = U[idx, base:base + 5]
+        cdf = np.cumsum(sk.probs)  # the child by inverse CDF, then free signs
+        tau = np.minimum(np.searchsorted(cdf / cdf[-1], u[:, 0], side="right"), 3)
+        z = sk.increments(tau, np.where(u[:, 1:] < 0.5, 1.0, -1.0))
         S = s_skeleton(z)
         down, up = 2.0 ** -k, 2.0 ** k
         for j, start, stop, left in node.segments:
