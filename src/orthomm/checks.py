@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from .functionals import (
+    _dyadic_value,
     _filtered_value,
     classify_good_indices,
-    dyadic_bound,
     good_children,
     strong_functional,
     weak_functional,
@@ -215,7 +215,7 @@ def suite_inequalities(index_set, random_measures: int, seed: int) -> dict:
         table = classify_good_indices(m, max_level=last_level)
         bounds = {
             "weak_le_strong": strong,
-            "weak_le_dyadic": dyadic_bound(m),
+            "weak_le_dyadic": _dyadic_value(table),
             "weak_le_filtered": _filtered_value(table),
         }
         for n in names:

@@ -66,27 +66,6 @@ COMBINED_BOUND_FORMULA = "K = (1 - L/2)**-1 * (L + 64 * sqrt(B))"
 # functionals
 
 
-def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
-    """d f(t_row) / d w, from the per-segment closed form.
-
-    Each integration segment [sqrt(d_j), sqrt(d_j+1)) contributes
-    -(1/2) * mass^(-3/2) * segment_length to every weight inside the
-    corresponding ball, which telescopes into a suffix sum over the
-    distance-sorted order.
-    """
-    prof = measure.index_set.profile
-    order = prof.order[row]
-    seg = prof.seg[row]
-    # the clip keeps mass**-1.5 inside float range for near-zero weights;
-    # sqrt and division round correctly on every CPU, where power does not
-    cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
-    contrib = -0.5 * seg / (cum * np.sqrt(cum))
-    suffix = np.cumsum(contrib[::-1])[::-1]
-    g = np.empty_like(suffix)
-    g[order] = suffix
-    return g
-
-
 def strong_functional_at(measure: DiscreteMeasure, t: float) -> float:
     """The ball-integral f(t); +inf when m({t}) = 0 and T is not a singleton."""
     return float(measure.integrals[measure.index_set.position(t)])
@@ -122,15 +101,7 @@ def dyadic_bound(measure: DiscreteMeasure) -> float:
     weak functional, not the strong one: the point mass at 0 on {0, 1/4}
     has dyadic bound 1 and strong functional +inf.
     """
-    tree = measure.index_set.partition
-    sep = tree.separation_depth
-    w = measure.weights
-    total = 0.0
-    for k in range(1, sep + 1):
-        masses = np.add.reduceat(w, tree.cell_arrays(k)[0])
-        total += 2.0 ** -k * float(np.sqrt(masses).sum())
-    total += 2.0 ** -sep * float(np.sqrt(w).sum())
-    return total
+    return _dyadic_value(classify_good_indices(measure))
 
 
 def _dyadic_rows(measure: DiscreteMeasure) -> np.ndarray:
@@ -265,6 +236,19 @@ def classify_good_indices(
     return GoodIndexTable(levels=tuple(out))
 
 
+def _dyadic_value(table: GoodIndexTable) -> float:
+    """``dyadic_bound`` from the levels 1..K+1 of ``classify_good_indices``.
+
+    Level K+1 holds one point per cell, so its full sum is sum_t sqrt(w_t),
+    the tail that the series weighs by 2^-K.
+    """
+    *head, tail = table.levels
+    total = 0.0
+    for lv in head:
+        total += 2.0 ** -lv.level * lv.full_sum
+    return total + 2.0 ** -(tail.level - 1) * tail.full_sum
+
+
 def _filtered_value(table: GoodIndexTable) -> float:
     return (FILTER_WEIGHT + table.filtered_series()) / (1.0 - FILTER_WEIGHT / 2.0)
 
@@ -327,7 +311,7 @@ def evaluate_functionals(measure: DiscreteMeasure) -> FunctionalReport:
         strong_value=strong,
         strong_argmax=argmax,
         weak_value=weak,
-        dyadic_value=dyadic_bound(measure),
+        dyadic_value=_dyadic_value(table),
         filtered_value=_filtered_value(table),
         rm_value=None if coeffs is None else rademacher_menchov(coeffs),
         filter_weight=FILTER_WEIGHT,

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functionals import _subgradient_row, strong_functional, weak_functional
-from .series import DiscreteMeasure, IndexSet
+from .functionals import strong_functional, weak_functional
+from .series import DiscreteMeasure, IndexSet, _subgradient_row
 
 __all__ = [
     "OptimizationResult",

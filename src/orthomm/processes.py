@@ -124,11 +124,11 @@ def _block_paths(paths: int, width: int) -> int:
     return max(1, min(paths, _PATH_BLOCK, _BLOCK_ENTRIES // max(width, 1)))
 
 
-def _slots(seed: int, kind: int, count: int) -> list:
-    """The streams (seed, kind, j) of slots j < count; the seed is
+def _slots(seed: int, kind: int, count: int, *key: int) -> list:
+    """The streams (seed, kind, *key, j) of slots j < count; the seed is
     checked also when there are none."""
     _check_seed(seed)
-    return [_stream(seed, kind, j) for j in range(count)]
+    return [_stream(seed, kind, *key, j) for j in range(count)]
 
 
 def _slot_blocks(streams: list, paths: int, block: int, normal: bool):
@@ -306,9 +306,9 @@ class BridgeLeaf(_Frozen):
     """Brownian bridge inside one base-depth cell.
 
     Points sitting on the cell's left endpoint are pinned to zero; the
-    remaining points, a contiguous run of columns after them, get a
-    centered Gaussian vector with covariance min(s', t') - 4**level *
-    s' * t' in coordinates local to the cell.  The bridge is Markov, so
+    remaining points, the contiguous run of columns ``positions`` after
+    them, get a centered Gaussian vector with covariance min(s', t') -
+    4**level * s' * t' in coordinates local to the cell.  The bridge is Markov, so
     in point order it is X_k = a[k] X_{k-1} + sigma[k] z_k from X_{-1} = 0
     (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
     section 3.1), whose innovations factor the covariance with one
@@ -319,14 +319,13 @@ class BridgeLeaf(_Frozen):
     cell_index: int
     positions: np.ndarray
     local: np.ndarray
-    pinned: np.ndarray
     a: np.ndarray
     sigma: np.ndarray
 
     def __init__(self, level: int, cell_index: int, positions: np.ndarray,
-                 local: np.ndarray, pinned: np.ndarray, a: np.ndarray, sigma: np.ndarray):
+                 local: np.ndarray, a: np.ndarray, sigma: np.ndarray):
         self._set(level=level, cell_index=cell_index, positions=positions, local=local,
-                  pinned=pinned, a=a, sigma=sigma)
+                  a=a, sigma=sigma)
 
     @property
     def dim(self) -> int:
@@ -357,7 +356,6 @@ def _build_bridge(level: int, cell_index: int, points: np.ndarray,
     left = _left_endpoint(cell_index, level)
     local_all = np.maximum(points[start:stop] - left, 0.0)
     pos = local_all > 0.0
-    cols = np.arange(start, stop)
     local = local_all[pos]
     # in units of the cell width, exactly; a cell holds its points below
     # its right end, so 1 - u stays positive
@@ -365,8 +363,8 @@ def _build_bridge(level: int, cell_index: int, points: np.ndarray,
     prev = np.r_[0.0, u[:-1]]
     a = (1.0 - u) / (1.0 - prev)
     sigma = np.ldexp(np.sqrt((u - prev) * (1.0 - u) / (1.0 - prev)), -level)
-    return BridgeLeaf(level=level, cell_index=cell_index, positions=cols[pos],
-                      local=local, pinned=cols[~pos], a=a, sigma=sigma)
+    return BridgeLeaf(level=level, cell_index=cell_index,
+                      positions=np.arange(start, stop)[pos], local=local, a=a, sigma=sigma)
 
 
 class ProcessSampler:
@@ -490,7 +488,7 @@ class AdversarialSampler(ProcessSampler):
         def normals(r: int, count: int) -> np.ndarray:
             if r not in streams:
                 b = self._leaves[r]
-                streams[r] = [_stream(seed, 2, b.cell_index, j) for j in range(b.dim)]
+                streams[r] = _slots(seed, 2, b.dim, b.cell_index)
             return _read(streams[r], count, True, buf)
 
         return ((start, stop, *self._evaluate(U, normals, vals, buf))
@@ -658,11 +656,7 @@ def second_moment_oracle(
     cs, ct = child_of(s), child_of(t)
     lefts = [_left_endpoint(4 * parent_index + j, level) for j in range(4)]
     ls, lt = s - lefts[cs], t - lefts[ct]
-    scale = 4.0 ** level
     down, up = 2.0 ** -level, 2.0 ** level
-
-    def cov(a: float, b: float) -> float:
-        return min(a, b) - scale * a * b
 
     total = 0.0
     for p, tau, z in skeleton.enumerate_outcomes():
@@ -673,11 +667,11 @@ def second_moment_oracle(
         var = 0.0
         ptau = float(skeleton.probs[tau])
         if cs == tau:
-            var += cov(ls, ls) / ptau
+            var += _bridge_covariance(ls, ls, level) / ptau
         if ct == tau:
-            var += cov(lt, lt) / ptau
+            var += _bridge_covariance(lt, lt, level) / ptau
         if cs == tau and ct == tau:
-            var -= 2.0 * cov(ls, lt) / ptau
+            var -= 2.0 * _bridge_covariance(ls, lt, level) / ptau
         total += p * (d * d + var)
     return float(total)
 
@@ -720,40 +714,34 @@ class OrthonormalGenerator(_Frozen):
     def normal_slots(self, n_terms: int) -> int:
         return n_terms if self.kind == "gaussian" else 0
 
-    def rows(self, V: np.ndarray, n_terms: int, out: np.ndarray | None = None) -> np.ndarray:
-        """phi_1 .. phi_n of a block of paths, one row per slot, one column
-        per path, from the block's slot values V (one row per path): a view
-        of V's normals, signs written over its uniforms, or cosines written
-        into ``out`` (new when not given)."""
-        if self.kind == "gaussian":
-            return V.T[:n_terms]
-        if self.kind == "rademacher":
-            signs = np.greater_equal(V.T[:n_terms], 0.5, out=V.T[:n_terms])
-            signs *= -2.0
-            signs += 1.0  # +1 below one half, else -1
-            return signs
-        freq = np.arange(1, n_terms + 1)
-        phi = np.multiply(2.0 * math.pi * V.T[:1], freq[:, None], out=out)
-        np.cos(phi, out=phi)
-        phi *= math.sqrt(2.0)
-        return phi
-
     def _blocks(self, n_terms: int, paths: int, seed: int):
-        """(start, stop, slot-major rows of paths start..stop-1), block by
-        block; the next block is written over the rows.  Gaussian normals
-        read slots (seed, 1, j), the other kinds' uniforms (seed, 4, j)."""
+        """(start, stop, phi_1 .. phi_n of paths start..stop-1), block by
+        block, one row per slot and one column per path; the next block is
+        written over the rows.  Gaussian normals read slots (seed, 1, j)
+        and are yielded as a view, the other kinds' uniforms (seed, 4, j):
+        signs are written over them, cosines into one buffer of the block."""
         block = _block_paths(paths, n_terms)
         gaussian = self.kind == "gaussian"
         count = self.normal_slots(n_terms) if gaussian else self.uniform_slots(n_terms)
         blocks = _slot_blocks(_slots(seed, 1 if gaussian else 4, count), paths, block, gaussian)
         cosines = np.empty(n_terms * block) if self.kind == "trigonometric" else None
+        freq = np.arange(1, n_terms + 1)[:, None]
 
-        def rows():
+        def phi_blocks():
             for start, stop, V in blocks:
-                out = None if cosines is None else \
-                    cosines[:n_terms * (stop - start)].reshape(n_terms, -1)
-                yield start, stop, self.rows(V, n_terms, out)
-        return rows()
+                if cosines is not None:
+                    out = cosines[:n_terms * (stop - start)].reshape(n_terms, -1)
+                    phi = np.multiply(2.0 * math.pi * V.T[:1], freq, out=out)
+                    np.cos(phi, out=phi)
+                    phi *= math.sqrt(2.0)
+                else:
+                    phi = V.T[:n_terms]
+                    if not gaussian:
+                        np.greater_equal(phi, 0.5, out=phi)
+                        phi *= -2.0
+                        phi += 1.0  # +1 below one half, else -1
+                yield start, stop, phi
+        return phi_blocks()
 
     # perfbench/spans.py wraps this method by name for every --trace 1 run
     def sample_matrix(self, n_terms: int, paths: int, seed: int) -> np.ndarray:
@@ -782,11 +770,6 @@ def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,
             np.maximum(h, s, out=h)
             np.minimum(l, s, out=l)
     return hi, lo
-
-
-def _sup_square(hi: np.ndarray, lo: np.ndarray, seed: int) -> MCEstimate:
-    # squaring is monotone in |S|, so max_m S_m**2 is the larger square of the extremes
-    return MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
 
 
 class ChainingReport(NamedTuple):
@@ -835,7 +818,8 @@ def verify_chaining_bound(
     if index_set.coeffs is None:
         raise ValueError("the chaining check needs an index set built from coefficients")
     hi, lo = _partial_sum_extremes(index_set.coeffs.values, generator, paths, seed)
-    sup = _sup_square(hi, lo, seed)
+    # squaring is monotone in |S|, so max_m S_m**2 is the larger square of the extremes
+    sup = MCEstimate.from_samples(np.maximum(hi ** 2, lo ** 2), seed)
     est = MCEstimate.from_samples(index_set.scale * (hi - lo) ** 2, seed)
     strong_value, _ = strong_functional(measure)
     bound = CHAINING_CONSTANT * strong_value ** 2  # inf, so always passed, when skipped

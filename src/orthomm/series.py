@@ -557,6 +557,27 @@ def _step_integrands(prof: _DistanceProfile, w: np.ndarray) -> Iterator[np.ndarr
         yield cum
 
 
+def _subgradient_row(measure: DiscreteMeasure, row: int) -> np.ndarray:
+    """d f(t_row) / d w, from the per-segment closed form.
+
+    Each integration segment [sqrt(d_j), sqrt(d_j+1)) contributes
+    -(1/2) * mass^(-3/2) * segment_length to every weight inside the
+    corresponding ball, which telescopes into a suffix sum over the
+    distance-sorted order.
+    """
+    prof = measure.index_set.profile
+    order = prof.order[row]
+    seg = prof.seg[row]
+    # the clip keeps mass**-1.5 inside float range for near-zero weights;
+    # sqrt and division round correctly on every CPU, where power does not
+    cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
+    contrib = -0.5 * seg / (cum * np.sqrt(cum))
+    suffix = np.cumsum(contrib[::-1])[::-1]
+    g = np.empty_like(suffix)
+    g[order] = suffix
+    return g
+
+
 def _pairwise_columns(blocks: Iterable[np.ndarray], n: int, out: np.ndarray) -> None:
     """Write into ``out`` the column sums of the (n, out.size) array x that
     ``blocks`` yields in consecutive blocks of a multiple of 8 rows (the

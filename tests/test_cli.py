@@ -449,7 +449,7 @@ def test_inequalities_suite_makes_one_integral_pass_per_measure(count_builds):
 
 def test_inequalities_suite_counts_violations(monkeypatch):
     # a dyadic "bound" below every weak value fails on every draw
-    monkeypatch.setattr(checks, "dyadic_bound", lambda measure: -1.0)
+    monkeypatch.setattr(checks, "_dyadic_value", lambda table: -1.0)
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     doc = checks.suite_inequalities(index, random_measures=4, seed=2)
     by_name = {c["name"]: c for c in doc["checks"]}

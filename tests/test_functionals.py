@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import orthomm as om
+from orthomm import checks, functionals
 from orthomm.functionals import _dyadic_rows
 
 L = om.FILTER_WEIGHT
@@ -232,6 +233,92 @@ def test_level_sums_keep_light_cells_precise(family, seed):
         dyadic = sum(Decimal(2) ** -k * ref for k, ref in enumerate(exact[:sep], 1))
         dyadic += Decimal(2) ** -sep * sum(Decimal(float(x)).sqrt() for x in m.weights)
     assert om.dyadic_bound(m) == pytest.approx(float(dyadic), rel=1e-14)
+
+
+def ref_dyadic_loop(measure: om.DiscreteMeasure) -> float:
+    """The dyadic sum with its own cell masses: one ``reduceat`` per level
+    1..K, then the tail 2^-K sum_t sqrt(w_t), K the separation depth."""
+    tree = measure.index_set.partition
+    sep = tree.separation_depth
+    w = measure.weights
+    total = 0.0
+    for k in range(1, sep + 1):
+        masses = np.add.reduceat(w, tree.cell_arrays(k)[0])
+        total += 2.0 ** -k * float(np.sqrt(masses).sum())
+    total += 2.0 ** -sep * float(np.sqrt(w).sum())
+    return total
+
+
+def _dyadic_measures():
+    power = om.build_index_set(om.CoefficientSequence.power(1.0, 64))
+    geometric = om.build_index_set(om.CoefficientSequence.geometric(0.9, 256))
+    # 533 levels: the keys past level 511 are Python integers
+    deep = explicit_set(1e-160, 1e-160, 1e-160, 0.5)
+    point = om.IndexSet(points=np.array([0.0]), scale=1.0, raw_total=0.0)
+    sparse = np.random.default_rng(4).dirichlet(np.ones(len(geometric)))
+    sparse[::3] = 0.0
+    return {
+        "power_uniform": om.DiscreteMeasure.uniform(power),
+        "power_dirichlet": om.DiscreteMeasure.dirichlet_random(power, 1),
+        "geometric_uniform": om.DiscreteMeasure.uniform(geometric),
+        "geometric_dirichlet": om.DiscreteMeasure.dirichlet_random(geometric, 2),
+        "one_point": om.DiscreteMeasure.uniform(point),
+        "power_point_mass": om.DiscreteMeasure.point_mass(power, float(power.points[5])),
+        "geometric_zero_weights": om.DiscreteMeasure.explicit(geometric, sparse),
+        "deep_uniform": om.DiscreteMeasure.uniform(deep),
+        "deep_zero_weights": om.DiscreteMeasure.explicit(deep, [0.5, 0.0, 0.25, 0.0, 0.25]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dyadic_measures()))
+def test_dyadic_sum_from_the_filter_table_keeps_its_bits(name):
+    m = _dyadic_measures()[name]
+    ref = ref_dyadic_loop(m)
+    assert om.dyadic_bound(m).hex() == ref.hex()
+    assert om.evaluate_functionals(m).dyadic_value.hex() == ref.hex()
+
+
+class _CountingAdd:
+    """``np.add``, counting the calls of its ``reduceat``."""
+
+    def __init__(self):
+        self.reduceat_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.add(*args, **kwargs)
+
+    def reduceat(self, *args, **kwargs):
+        self.reduceat_calls += 1
+        return np.add.reduceat(*args, **kwargs)
+
+
+class _CountingNumpy:
+    """numpy, but ``add.reduceat`` counts its calls: one per level summed."""
+
+    def __init__(self):
+        self.add = _CountingAdd()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("family", [om.CoefficientSequence.power(1.0, 64),
+                                    om.CoefficientSequence.geometric(0.9, 64)],
+                         ids=["power", "geometric"])
+def test_each_measure_sums_its_levels_once(family, monkeypatch):
+    # the dyadic and the filtered sums read one table of levels 1..K+1
+    index = om.build_index_set(family)
+    levels = index.partition.separation_depth + 1
+    counting = _CountingNumpy()
+    monkeypatch.setattr(functionals, "np", counting)
+    om.evaluate_functionals(om.DiscreteMeasure.uniform(index))
+    assert counting.add.reduceat_calls == levels
+    counting.add.reduceat_calls = 0
+    checks.suite_inequalities(index, random_measures=3, seed=1)
+    assert counting.add.reduceat_calls == 3 * levels
 
 
 @pytest.mark.parametrize("seed", range(6))

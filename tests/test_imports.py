@@ -30,6 +30,21 @@ def test_module_imports_only_stdlib_numpy_and_orthomm(path):
     assert _imported_roots(path) <= ALLOWED
 
 
+def _attribute_reads(path: Path, name: str) -> list[int]:
+    """Lines of ``path`` that read an attribute called ``name``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == name]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "series.py"], ids=lambda p: p.name)
+def test_only_series_reads_the_distance_profile(path):
+    # the profile's layout (each row's order, column-major in the smallest
+    # unsigned dtype, and its steps seg) is known to one module
+    assert _attribute_reads(PACKAGE / "series.py", "profile")
+    assert _attribute_reads(path, "profile") == []
+
+
 def test_pipeline_loads_no_scipy(tmp_path):
     # a fresh interpreter: the test modules themselves import scipy
     script = (

@@ -317,7 +317,7 @@ def test_bridge_pins_left_endpoint_points():
     starts, keys = index.partition.cell_arrays(1)
     assert (starts[0], starts[1], keys[0]) == (0, 1, 0)
     b = _build_bridge(1, 0, index.points, 0, 1)
-    assert b.pinned.tolist() == [0] and b.dim == 0
+    assert b.positions.tolist() == [] and b.dim == 0
     rng = np.random.default_rng(0)
     draws = b.values(rng.standard_normal((50, b.dim)))
     assert draws.shape == (50, 0)
@@ -327,8 +327,7 @@ def test_bridge_sample_varies_at_interior_points():
     index = explicit_set(0.1, 0.1, 0.1)
     assert index.partition.cell_arrays(0)[0].tolist() == [0]
     b = _build_bridge(0, 0, index.points, 0, len(index))
-    assert b.pinned.tolist() == [0]
-    assert b.positions.tolist() == [1, 2, 3]
+    assert b.positions.tolist() == [1, 2, 3]  # point 0, on the left endpoint, is pinned
     rng = np.random.default_rng(1)
     draws = b.values(rng.standard_normal((200, b.dim)))
     assert draws.shape == (200, 3)
@@ -359,7 +358,7 @@ def test_bridge_leaves_store_one_number_per_point():
         for b in adv.bridges:
             for arr in vars(b).values():  # the leaf's fields
                 if isinstance(arr, np.ndarray):
-                    assert arr.ndim == 1 and arr.size <= b.dim + b.pinned.size
+                    assert arr.ndim == 1 and arr.size == b.dim
             assert b.a.size == b.sigma.size == b.local.size == b.dim
 
 

@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 import orthomm as om
 from orthomm import series
-from orthomm.functionals import _dyadic_rows, _subgradient_row
-from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands
+from orthomm.functionals import _dyadic_rows
+from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands, _subgradient_row
 
 MIB = 1 << 20
 
