@@ -33,7 +33,6 @@ __all__ = [
     "GoodLevel",
     "GoodIndexTable",
     "FunctionalReport",
-    "strong_functional_at",
     "strong_functional",
     "weak_functional",
     "dyadic_bound",
@@ -64,11 +63,6 @@ COMBINED_BOUND_FORMULA = "K = (1 - L/2)**-1 * (L + 64 * sqrt(B))"
 
 # ---------------------------------------------------------------------------
 # functionals
-
-
-def strong_functional_at(measure: DiscreteMeasure, t: float) -> float:
-    """The ball-integral f(t); +inf when m({t}) = 0 and T is not a singleton."""
-    return float(measure.integrals[measure.index_set.position(t)])
 
 
 def strong_functional(measure: DiscreteMeasure) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .functionals import strong_functional, weak_functional
-from .series import DiscreteMeasure, IndexSet, _subgradient_row
+from .series import DiscreteMeasure, IndexSet
 
 __all__ = [
     "OptimizationResult",
@@ -31,7 +31,6 @@ __all__ = [
     "minimize_strong",
     "maximize_weak",
     "duality_gap_report",
-    "strong_subgradient",
 ]
 
 _PATIENCE = 50     # iterations without relative improvement before stopping
@@ -62,15 +61,6 @@ class OptimizationResult(NamedTuple):
             "weights": [float(x) for x in self.measure.weights],
             "trace": [float(v) for v in self.trace],
         }
-
-
-def strong_subgradient(measure: DiscreteMeasure) -> np.ndarray:
-    """Subgradient of the strong functional at the smallest-index argmax."""
-    vals = measure.integrals
-    row = int(np.argmax(vals))
-    if math.isinf(vals[row]):
-        raise ValueError("subgradient undefined where the functional is infinite")
-    return _subgradient_row(measure, row)
 
 
 def minimize_strong(index_set: IndexSet, *, max_iters: int = 2000,
@@ -108,7 +98,7 @@ def minimize_strong(index_set: IndexSet, *, max_iters: int = 2000,
             best_val = val
             best = m
         trace.append(best_val)
-        spread = float((vals.max() - vals.min()) / vals.max())
+        spread = (val - float(vals.min())) / val
         if spread <= tol:
             converged = True
             break

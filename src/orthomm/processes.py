@@ -756,16 +756,17 @@ def _partial_sum_extremes(a: np.ndarray, generator: OrthonormalGenerator,
                           paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each path's largest and smallest partial sum a_1 phi_1 + ... + a_m phi_m, 0 included.
 
-    The sums run slot by slot, one contiguous row per slot, so they are
-    the path-major cumulative sums bit for bit.
+    Each block is scaled by the coefficients in one multiply, then the sums
+    run slot by slot, one contiguous row per slot, so they are the
+    path-major cumulative sums bit for bit.
     """
     hi, lo = np.empty(paths), np.empty(paths)
     for start, stop, phi in generator._blocks(a.size, paths, seed):
-        s = phi[0] * a[0]
+        phi *= a[:, None]
+        s = phi[0]
         h = np.maximum(s, 0.0, out=hi[start:stop])
         l = np.minimum(s, 0.0, out=lo[start:stop])
-        for coef, row in zip(a[1:], phi[1:]):
-            row *= coef
+        for row in phi[1:]:
             s += row
             np.maximum(h, s, out=h)
             np.minimum(l, s, out=l)

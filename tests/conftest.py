@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -49,3 +50,45 @@ def nan_empty(monkeypatch):
         for module in modules:
             monkeypatch.setattr(module, "np", _NanEmptyNumpy())
     return patch
+
+
+# The tests own these references; the library computes neither.
+
+
+@pytest.fixture(scope="session")
+def ball_mass():
+    """``ball_mass(measure, t, r)``, the direct-sum mass of the closed ball
+    {s in T : |s - t| <= r}; t must lie in T."""
+    def mass(measure, t: float, r: float) -> float:
+        measure.index_set.position(t)
+        if r < 0.0:
+            raise ValueError("radius must be nonnegative")
+        pts = measure.index_set.points
+        return float(measure.weights[np.abs(pts - t) <= r].sum())
+    return mass
+
+
+@pytest.fixture(scope="session")
+def strong_subgradient():
+    """``strong_subgradient(measure)``, d f(t) / d w of the strong functional
+    at its smallest-index argmax t; ValueError where f(t) is infinite.
+
+    Each integration segment [sqrt(d_j), sqrt(d_j+1)) contributes
+    -(1/2) * mass^(-3/2) * segment_length to every weight inside the
+    corresponding ball, which telescopes into a suffix sum over the
+    distance-sorted order.
+    """
+    def subgradient(measure) -> np.ndarray:
+        vals = measure.integrals
+        row = int(np.argmax(vals))
+        if math.isinf(vals[row]):
+            raise ValueError("subgradient undefined where the functional is infinite")
+        prof = measure.index_set.profile
+        order, seg = prof.order[row], prof.seg[row]
+        # the clip keeps mass**-1.5 inside float range for near-zero weights
+        cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
+        suffix = np.cumsum((-0.5 * seg / (cum * np.sqrt(cum)))[::-1])[::-1]
+        g = np.empty_like(suffix)
+        g[order] = suffix
+        return g
+    return subgradient

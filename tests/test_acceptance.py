@@ -17,7 +17,6 @@ import pytest
 
 import orthomm as om
 from orthomm import checks, cli
-from orthomm.optimize import strong_subgradient
 
 
 def _verdict(num: int, name: str, ok: bool) -> bool:
@@ -217,7 +216,7 @@ def test_criterion_08_two_point_optimizer():
     assert elapsed < 30.0
 
 
-def test_criterion_09_convexity_and_subgradient():
+def test_criterion_09_convexity_and_subgradient(strong_subgradient):
     start = time.perf_counter()
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 15))
     worst_gap = -math.inf

@@ -1,8 +1,11 @@
-"""The public names: every ``__all__`` entry resolves, once."""
+"""The public names: every ``__all__`` entry resolves, once, and is read."""
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,14 @@ import pytest
 import orthomm as om
 
 MODULES = ("series", "functionals", "optimize", "processes", "checks")
+PACKAGE = Path(om.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Exported names that nothing in the library or the benchmark reads, each
+# with the reason it stays public.
+UNREAD_EXPORTS = {
+    "dyadic_sup_bound": "the proven pointwise strong-side bound of criterion 05",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -93,3 +104,39 @@ def test_options_and_generators_compare_by_value_measures_by_identity():
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 8))
     measure = om.DiscreteMeasure.uniform(index)
     assert measure == measure and measure != om.DiscreteMeasure.uniform(index)
+
+
+def _code_names(tree: ast.AST) -> set[str]:
+    """Names and attributes read in the code of ``tree``, not in its strings."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _library_reads(path: Path) -> set[str]:
+    """``_code_names`` of ``path``, leaving out each top-level ``def`` or
+    ``class`` reading its own name."""
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    return set().union(*(_code_names(stmt) - {getattr(stmt, "name", None)}
+                         for stmt in body))
+
+
+def _benchmark_names(path: Path) -> set[str]:
+    """``_code_names`` of ``path`` and the parts of its dotted strings
+    ("Class.method"), the form in which the spans wrap library callables."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return _code_names(tree).union(*(
+        node.value.split(".") for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)))
+
+
+def test_every_exported_name_has_a_reader():
+    # a public name that only tests call is a test's reference, not library
+    # surface: the tests keep such references themselves (see conftest.py)
+    read = set().union(*map(_library_reads, PACKAGE.glob("*.py")),
+                       *map(_benchmark_names, BENCH.glob("*.py")))
+    checks = importlib.import_module("orthomm.checks")
+    exported = [*om.__all__, *checks.__all__]
+    assert set(UNREAD_EXPORTS) <= set(exported)
+    assert [name for name in exported
+            if name not in read and name not in UNREAD_EXPORTS] == []

@@ -23,7 +23,12 @@ def explicit_set(*values: float) -> om.IndexSet:
     return om.build_index_set(om.CoefficientSequence.explicit(values))
 
 
-def quad_strong_at(measure: om.DiscreteMeasure, t: float) -> float:
+def strong_at(measure: om.DiscreteMeasure, t: float) -> float:
+    """The ball integral f(t) of a point t of T."""
+    return float(measure.integrals[measure.index_set.position(t)])
+
+
+def quad_strong_at(measure: om.DiscreteMeasure, t: float, ball_mass) -> float:
     """Adaptive quadrature of r -> ball-mass(t, r^2)^(-1/2) on [0, sqrt(D)].
 
     Independent of the closed-form evaluator: integrates the piecewise
@@ -35,7 +40,7 @@ def quad_strong_at(measure: om.DiscreteMeasure, t: float) -> float:
     breaks = sorted({math.sqrt(abs(p - t)) for p in pts if 0 < abs(p - t) <= top ** 2})
 
     def integrand(r: float) -> float:
-        return om.ball_mass(measure, t, r * r) ** -0.5
+        return ball_mass(measure, t, r * r) ** -0.5
 
     val, err = integrate.quad(integrand, 0.0, top, points=breaks, limit=200)
     assert err < 1e-9
@@ -64,8 +69,8 @@ def test_strong_uniform_two_points():
 def test_strong_skewed_two_points():
     index = explicit_set(0.5)
     m = om.make_measure(index, {"kind": "explicit", "weights": [0.9, 0.1]})
-    assert om.strong_functional_at(m, 0.0) == pytest.approx(0.5 / math.sqrt(0.9), abs=1e-15)
-    assert om.strong_functional_at(m, 0.0) == 0.5270462766947299
+    assert strong_at(m, 0.0) == pytest.approx(0.5 / math.sqrt(0.9), abs=1e-15)
+    assert strong_at(m, 0.0) == 0.5270462766947299
     value, argmax = om.strong_functional(m)
     assert value == 1.5811388300841895
     assert argmax == 0.25
@@ -74,8 +79,8 @@ def test_strong_skewed_two_points():
 def test_strong_point_mass_is_root_diameter_at_atom():
     index = explicit_set(0.5)
     pm = om.make_measure(index, {"kind": "point_mass", "at": 0.0})
-    assert om.strong_functional_at(pm, 0.0) == pytest.approx(math.sqrt(index.diameter))
-    assert math.isinf(om.strong_functional_at(pm, 0.25))
+    assert strong_at(pm, 0.0) == pytest.approx(math.sqrt(index.diameter))
+    assert math.isinf(strong_at(pm, 0.25))
     value, _ = om.strong_functional(pm)
     assert math.isinf(value)
 
@@ -84,7 +89,7 @@ def test_strong_singleton_is_zero():
     index = om.IndexSet(points=np.array([0.0]), scale=1.0,
                         raw_total=0.0, merged_duplicates=0)
     u = om.make_measure(index, "uniform")
-    assert om.strong_functional_at(u, 0.0) == 0.0
+    assert strong_at(u, 0.0) == 0.0
     assert om.strong_functional(u) == (0.0, 0.0)
 
 
@@ -96,19 +101,19 @@ def test_strong_argmax_tie_takes_smallest_point():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_strong_matches_quadrature(seed):
+def test_strong_matches_quadrature(seed, ball_mass):
     index = om.build_index_set(om.CoefficientSequence.power(1.0, 9))
     m = dirichlet_measure(index, seed)
     for t in index.points[::3]:
-        exact = om.strong_functional_at(m, float(t))
-        assert exact == pytest.approx(quad_strong_at(m, float(t)), abs=1e-8)
+        exact = strong_at(m, float(t))
+        assert exact == pytest.approx(quad_strong_at(m, float(t), ball_mass), abs=1e-8)
 
 
 def test_strong_at_requires_point_of_set():
     index = explicit_set(0.5)
     u = om.make_measure(index, "uniform")
     with pytest.raises(om.DomainError):
-        om.strong_functional_at(u, 0.1)
+        strong_at(u, 0.1)
 
 
 def test_mixing_mass_toward_a_point_lowers_its_integral():
@@ -119,7 +124,7 @@ def test_mixing_mass_toward_a_point_lowers_its_integral():
     for delta in (0.1, 0.5, 0.9):
         mixed = om.DiscreteMeasure.explicit(
             index, (1 - delta) * base.weights + delta * spike.weights)
-        assert om.strong_functional_at(mixed, t) <= om.strong_functional_at(base, t) + 1e-12
+        assert strong_at(mixed, t) <= strong_at(base, t) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,7 @@ def test_strong_never_exceeds_dyadic_sup(family):
     for m in family():
         rows = _dyadic_rows(m)
         for pos, t in enumerate(m.index_set.points):
-            assert om.strong_functional_at(m, float(t)) <= rows[pos]
+            assert strong_at(m, float(t)) <= rows[pos]
         strong, _ = om.strong_functional(m)
         assert strong <= om.dyadic_sup_bound(m)
 

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 import orthomm as om
 from orthomm import series
 from orthomm.functionals import _dyadic_rows
-from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands, _subgradient_row
+from orthomm.series import _pairwise_columns, _row_blocks, _step_integrands
 
 MIB = 1 << 20
 
@@ -59,16 +59,6 @@ def ref_integral_rows(measure: om.DiscreteMeasure, order: np.ndarray,
     vals = (seg / np.sqrt(np.maximum(cum, 1e-300))).sum(axis=1)
     vals[w == 0.0] = math.inf
     return vals
-
-
-def ref_subgradient_row(measure: om.DiscreteMeasure, row: int, order: np.ndarray,
-                        seg: np.ndarray) -> np.ndarray:
-    order, seg = order[row], seg[row]
-    cum = np.maximum(np.cumsum(measure.weights[order]), 1e-150)
-    suffix = np.cumsum((-0.5 * seg / (cum * np.sqrt(cum)))[::-1])[::-1]
-    g = np.empty_like(suffix)
-    g[order] = suffix
-    return g
 
 
 def power_set(n: int) -> om.IndexSet:
@@ -100,9 +90,6 @@ def assert_matches_reference(index: om.IndexSet, seed: int) -> None:
         vals = m.integrals
         np.testing.assert_array_equal(vals, ref_integral_rows(m, order, seg))
         assert np.all(np.isinf(vals[m.weights == 0.0]) == (n > 1))
-        for row in {0, n // 2, n - 1}:
-            np.testing.assert_array_equal(_subgradient_row(m, row),
-                                          ref_subgradient_row(m, row, order, seg))
 
 
 # Up to 256 points one block holds every row; these larger sizes end on a
@@ -279,9 +266,8 @@ def test_integrals_are_read_only_and_freed_with_their_measure():
 
 
 def exact_rows(m: om.DiscreteMeasure) -> bytes:
-    """The integrals, the dyadic rows and every 7th subgradient row of ``m``."""
-    rows = [_subgradient_row(m, row) for row in range(0, len(m.index_set), 7)]
-    return b"".join(a.tobytes() for a in (m.integrals, _dyadic_rows(m), *rows))
+    """The integrals and the dyadic rows of ``m``."""
+    return m.integrals.tobytes() + _dyadic_rows(m).tobytes()
 
 
 def test_integrals_do_not_depend_on_numpys_cpu_dispatch():
@@ -289,7 +275,7 @@ def test_integrals_do_not_depend_on_numpys_cpu_dispatch():
     # kernels disagree in the last bit, while sqrt, divide and add round
     # correctly in every kernel.  So a process barred from every dispatch
     # target this CPU enables computes the same bytes, for the integrals and
-    # for the exact routines beside them.
+    # for the dyadic rows beside them.
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
     build = ("om.make_measure(om.build_index_set(om.CoefficientSequence.power(1.0, 512)),"

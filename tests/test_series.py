@@ -456,40 +456,41 @@ def test_point_mass_requires_a_point_of_the_set():
 
 
 # ---------------------------------------------------------------------------
-# ball masses
+# ball masses: the tests' own oracle (conftest.py), the integrand of the
+# strong functional's quadrature reference in test_functionals.py
 
 
-def test_ball_mass_two_point_examples():
+def test_ball_mass_two_point_examples(ball_mass):
     index = explicit_set(0.5)
     u = om.make_measure(index, "uniform")
-    assert om.ball_mass(u, 0.0, 0.1) == 0.5
-    assert om.ball_mass(u, 0.0, 0.25) == 1.0
-    assert om.ball_mass(u, 0.0, 2.0) == 1.0
+    assert ball_mass(u, 0.0, 0.1) == 0.5
+    assert ball_mass(u, 0.0, 0.25) == 1.0
+    assert ball_mass(u, 0.0, 2.0) == 1.0
 
 
-def test_ball_mass_is_closed_at_the_radius():
+def test_ball_mass_is_closed_at_the_radius(ball_mass):
     index = explicit_set(0.5, 0.5)
     u = om.make_measure(index, "uniform")
-    assert om.ball_mass(u, 0.25, 0.25) == pytest.approx(1.0, abs=1e-15)
+    assert ball_mass(u, 0.25, 0.25) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_ball_mass_rejects_bad_arguments():
+def test_ball_mass_rejects_bad_arguments(ball_mass):
     index = explicit_set(0.5)
     u = om.make_measure(index, "uniform")
     with pytest.raises(ValueError):
-        om.ball_mass(u, 0.0, -0.1)
+        ball_mass(u, 0.0, -0.1)
     with pytest.raises(om.DomainError):
-        om.ball_mass(u, 0.1, 0.1)
+        ball_mass(u, 0.1, 0.1)
 
 
 @given(st.integers(min_value=0, max_value=4), st.floats(min_value=0, max_value=1))
 @settings(max_examples=60, deadline=None)
-def test_ball_mass_monotone_in_radius(pos, frac):
+def test_ball_mass_monotone_in_radius(ball_mass, pos, frac):
     index = explicit_set(0.3, 0.2, 0.4, 0.1)
     u = om.make_measure(index, "uniform")
     t = float(index.points[pos])
     r = frac * index.diameter
-    small = om.ball_mass(u, t, r)
-    big = om.ball_mass(u, t, r + 0.05)
+    small = ball_mass(u, t, r)
+    big = ball_mass(u, t, r + 0.05)
     assert small <= big + 1e-15
-    assert om.ball_mass(u, t, index.diameter) == pytest.approx(1.0, abs=1e-15)
+    assert ball_mass(u, t, index.diameter) == pytest.approx(1.0, abs=1e-15)
